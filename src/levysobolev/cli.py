@@ -267,12 +267,9 @@ def _task_index(cfg, out_dir):
            f"sobolev_index={report.sobolev_index}")
     write_json({"family": rec, **report.to_record()}, cfg,
                os.path.join(out_dir, "index.json"))
-    r = grid.radii()
-    e = grid.directions(sym.d)[0]
-    pts = np.outer(r, e)
-    vals = sym(pts if sym.d > 1 else pts[:, 0])
+    r, vals = report.rays
     rows = []
-    for rad, v in zip(r, vals):
+    for rad, v in zip(r, vals[0]):
         if abs(v) > 0 and v.real > 0:
             rows.append((float(np.log(rad)), float(np.log(abs(v))),
                          float(np.log(v.real))))
@@ -395,18 +392,6 @@ def run(cfg: dict, out_dir: str = ".") -> int:
     return 0
 
 
-def _cap_threads() -> None:
-    cap = os.environ.get("LEVYSOBOLEV_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="levysobolev",
@@ -418,7 +403,6 @@ def main(argv=None) -> int:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
     args = parser.parse_args(argv)
-    _cap_threads()
     try:
         cfg = load_config(args.config) if args.config else {}
         cfg = apply_overrides(cfg, getattr(args, "set"))

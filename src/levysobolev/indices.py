@@ -83,8 +83,13 @@ class GridSpec:
 
 
 def _ray_values(symbol: Symbol, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """A on all rays: returns (radii, values[n_dir, n_r])."""
+    """A on all rays: returns (radii, values[n_dir, n_r]).  In d = 1 the -1 ray
+    is the conjugate of the +1 ray, A(-xi) = conj(A(xi)), when that symmetry is
+    known (catalog and density-backed symbols); other symbols evaluate both."""
     r = grid.radii()
+    if symbol.d == 1 and (symbol.params is not None or symbol.density is not None):
+        plus = symbol(r)
+        return r, np.vstack([plus, np.conj(plus)])
     dirs = grid.directions(symbol.d)
     pts = (dirs[:, None, :] * r[None, :, None]).reshape(-1, symbol.d)
     vals = symbol(pts if symbol.d > 1 else pts[:, 0])
@@ -101,7 +106,10 @@ def fit_continuity_exponent(symbol: Symbol, grid: GridSpec = GridSpec()):
     Returns (alpha_cont, diagnostics); diagnostics carry per-direction slopes,
     the worst R^2 and the sub-polynomial flag.
     """
-    r, vals = _ray_values(symbol, grid)
+    return _continuity_fit(*_ray_values(symbol, grid))
+
+
+def _continuity_fit(r: np.ndarray, vals: np.ndarray):
     mags = np.abs(vals)
     if mags.max() <= 1e-14:
         raise DegenerateSymbol("symbol vanishes on the whole fit grid")
@@ -140,7 +148,10 @@ def fit_garding_exponent(symbol: Symbol, grid: GridSpec = GridSpec()):
     the plain top-half fit is poor the fit start is advanced past the
     crossover until R^2 >= 0.995 (at least 8 points are kept).
     """
-    r, vals = _ray_values(symbol, grid)
+    return _garding_fit(*_ray_values(symbol, grid))
+
+
+def _garding_fit(r: np.ndarray, vals: np.ndarray):
     re = vals.real
     win = _top_half(r)
     if np.any(re[:, win] <= 0.0):
@@ -160,11 +171,10 @@ def fit_garding_exponent(symbol: Symbol, grid: GridSpec = GridSpec()):
     return alpha, diag
 
 
-def _lower_order_exponent(symbol: Symbol, grid: GridSpec, alpha: float):
+def _lower_order_exponent(r: np.ndarray, vals: np.ndarray, alpha: float):
     """Exponent of the deficit C2 r^alpha - Re A (0 when no deficit)."""
-    r, vals = _ray_values(symbol, grid)
     re_min = vals.real.min(axis=0)
-    top_decade = r >= grid.r_max / 10.0
+    top_decade = r >= r[-1] / 10.0
     c2 = 0.95 * float(np.min(re_min[top_decade] / r[top_decade] ** alpha))
     if c2 <= 0:
         return float("nan"), c2
@@ -176,9 +186,8 @@ def _lower_order_exponent(symbol: Symbol, grid: GridSpec, alpha: float):
     return float(max(slope, 0.0)), c2
 
 
-def _residual_growth(symbol: Symbol, grid: GridSpec, alpha: float) -> float:
+def _residual_growth(r: np.ndarray, vals: np.ndarray, alpha: float) -> float:
     """Top-half growth slope of |A(r e)|/(1+r)^alpha (0 for a true index)."""
-    r, vals = _ray_values(symbol, grid)
     ratio = np.abs(vals) / (1.0 + r[None, :]) ** alpha
     win = _top_half(r)
     worst = -np.inf
@@ -208,6 +217,8 @@ class IndexReport:
     gamma: Optional[float] = None
     verdicts: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+    # (radii, values[n_dir, n_r]) the fits used; not part of the record
+    rays: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def to_record(self) -> dict:
         rec = {
@@ -242,8 +253,10 @@ def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
     ratio at alpha_gard has stopped growing, and the fitted lower-order
     exponent of the Garding deficit stays below alpha_gard.  The declared
     value is the fitted alpha_gard, never rounded to a catalog constant.
+    The rays are evaluated once and shared by every fit (`report.rays`).
     """
-    alpha_cont, diag_c = fit_continuity_exponent(symbol, grid)
+    r, vals = _ray_values(symbol, grid)
+    alpha_cont, diag_c = _continuity_fit(r, vals)
     report = IndexReport(
         alpha_cont=alpha_cont,
         alpha_gard=None,
@@ -256,9 +269,10 @@ def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
         r2_gard=None,
         tol=tol,
         diagnostics={"cont_slopes": diag_c["slopes"]},
+        rays=(r, vals),
     )
     try:
-        alpha_gard, diag_g = fit_garding_exponent(symbol, grid)
+        alpha_gard, diag_g = _garding_fit(r, vals)
     except NonpositiveRealPart:
         report.diagnostics["garding"] = "nonpositive real part on fit range"
         return report
@@ -268,8 +282,8 @@ def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
     if report.sub_polynomial:
         return report
 
-    growth = _residual_growth(symbol, grid, alpha_gard)
-    beta_lower, c2 = _lower_order_exponent(symbol, grid, alpha_gard)
+    growth = _residual_growth(r, vals, alpha_gard)
+    beta_lower, c2 = _lower_order_exponent(r, vals, alpha_gard)
     report.residual_growth = growth
     report.beta_lower = None if np.isnan(beta_lower) else beta_lower
     report.garding_c2 = c2
@@ -336,13 +350,13 @@ def smoothness_moments(symbol: Symbol, t: float, n_max: int,
         raise InvalidParams("moments are implemented for d = 1")
     if t <= 0:
         raise InvalidParams("t must be positive")
+    r, vals = _ray_values(symbol, grid)
     try:
-        alpha, _ = fit_garding_exponent(symbol, grid)
+        alpha, _ = _garding_fit(r, vals)
     except NonpositiveRealPart as exc:
         raise TailUnbounded("no Garding fit available") from exc
-    r = grid.radii()
     top = r >= grid.r_max / 10.0
-    re_vals = symbol(r[top]).real
+    re_vals = vals[0, top].real
     c2 = 0.9 * float(np.min(re_vals / r[top] ** alpha))
     if alpha <= 0 or c2 <= 0:
         raise TailUnbounded("fitted Garding bound is not positive")

@@ -125,13 +125,15 @@ def cgmy_density(C: float, G: float, M: float, Y: float) -> LevyDensity:
             out = 0.5 * C * (np.exp(-G * ax) + np.exp(-M * ax)) / ax ** (1.0 + Y)
         return np.where(ax > 0, out, 0.0)
 
+    # e^{-M|x|} - e^{-G|x|} = -sgn(G-M) e^{-min|x|} expm1(-|G-M||x|): no
+    # cancellation as |x| -> 0 and no overflow at the cutoff
+    as_scale, lo_rate, gap = -0.5 * float(np.sign(G - M)) * C, min(G, M), abs(G - M)
+
     def f_as(x):
-        # e^{-M|x|} - e^{-G|x|} via sinh to survive |x| -> 0 cancellation
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         with np.errstate(divide="ignore", over="ignore"):
-            out = C * np.exp(-0.5 * (G + M) * ax) * np.sinh(0.5 * (G - M) * ax) \
-                / ax ** (1.0 + Y)
+            out = as_scale * np.exp(-lo_rate * ax) * np.expm1(-gap * ax) / ax ** (1.0 + Y)
         return np.where(ax > 0, np.sign(x) * out, 0.0)
 
     return LevyDensity(f=f, y_hint=Y, c_hint=C, finite_variation=Y < 1.0,
@@ -586,6 +588,8 @@ def symbol_parts_from_density(split: DensitySplit, u: float,
             f"{split.name}: error estimate {err_acc:.3g} exceeds "
             f"budget {budget:.3g} at u = {u:g}"
         )
+    if not (np.isfinite(a_fs) and np.isfinite(a_fas)):
+        raise QuadratureFailure(f"{split.name}: non-finite symbol part at u = {u:g}")
     return float(max(a_fs, 0.0) if a_fs > -budget else a_fs), a_fas
 
 

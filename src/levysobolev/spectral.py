@@ -141,10 +141,15 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     return float(np.sum(np.abs(field.values) ** 2 * w) * field.grid.dxi**field.grid.d)
 
 
+def symbol_on_grid(symbol: Symbol, grid: FrequencyGrid, sign: float = 1.0) -> np.ndarray:
+    """A(sign * xi) at every mode, shaped like the grid."""
+    pts = sign * grid.points()
+    return symbol(pts if grid.d > 1 else pts[:, 0]).reshape(grid.shape)
+
+
 def re_a_weighted_norm(field: SpectralField, symbol: Symbol) -> float:
     """int (1 + Re A(xi)) |u_hat|^2 dxi: the symbol-adapted energy norm."""
-    pts = field.grid.points()
-    re_a = symbol(pts if field.grid.d > 1 else pts[:, 0]).real.reshape(field.grid.shape)
+    re_a = symbol_on_grid(symbol, field.grid).real
     return float(np.sum((1.0 + re_a) * np.abs(field.values) ** 2)
                  * field.grid.dxi**field.grid.d)
 
@@ -153,17 +158,15 @@ def bilinear_form(symbol: Symbol, u: SpectralField, v: SpectralField) -> complex
     """a(u, v) = sum A(xi) u_hat(xi) conj(v_hat(xi)) dxi^d (Parseval form)."""
     if u.grid != v.grid:
         raise GridMismatch("fields live on different grids")
-    pts = u.grid.points()
-    a = symbol(pts if u.grid.d > 1 else pts[:, 0]).reshape(u.grid.shape)
+    a = symbol_on_grid(symbol, u.grid)
     return complex(np.sum(a * u.values * np.conj(v.values)) * u.grid.dxi**u.grid.d)
 
 
 def operator_norm_constant(symbol: Symbol, grid: FrequencyGrid, alpha: float) -> float:
     """sup over grid modes of |A(xi)|/(1+|xi|)^alpha (the H^s -> H^{s-alpha}
     operator bound constant)."""
-    pts = grid.points()
-    a = symbol(pts if grid.d > 1 else pts[:, 0])
-    return float(np.max(np.abs(a) / (1.0 + np.linalg.norm(pts, axis=1)) ** alpha))
+    a = symbol_on_grid(symbol, grid)
+    return float(np.max(np.abs(a) / (1.0 + grid.radii()) ** alpha))
 
 
 # --------------------------------------------------------------------------
@@ -227,9 +230,8 @@ def verify_form_inequalities(symbol: Symbol, alpha: float, trials: int,
     if trials < 1:
         raise InvalidParams("need at least one trial")
     rng = np.random.default_rng(seed)
-    pts = grid.points()
-    a_vals = symbol(pts if grid.d > 1 else pts[:, 0]).reshape(grid.shape)
-    radii = np.linalg.norm(pts, axis=1).reshape(grid.shape)
+    a_vals = symbol_on_grid(symbol, grid)
+    radii = grid.radii()
     wts = (1.0 + radii) ** alpha
 
     high = radii >= 0.5 * grid.Xi
@@ -310,8 +312,7 @@ def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
         raise InvalidParams(f"unknown scheme {scheme!r}")
     scheme = _SCHEMES[key]
     grid = g_hat.grid
-    pts = grid.points()
-    a = symbol(pts if grid.d > 1 else pts[:, 0]).reshape(grid.shape)
+    a = symbol_on_grid(symbol, grid)
     dt = T / K
     times = dt * np.arange(K + 1)
 
@@ -391,8 +392,7 @@ def conditional_expectation(symbol: Symbol, g_hat: SpectralField, tau: float,
     if tau < 0:
         raise InvalidParams("tau must be nonnegative")
     grid = g_hat.grid
-    pts = grid.points()
-    a = symbol(pts if grid.d > 1 else pts[:, 0]).reshape(grid.shape)
+    a = symbol_on_grid(symbol, grid)
     vals = np.exp(-tau * a) * g_hat.values
     tail = _tail_estimate(grid, vals)
     if tail > 1e-8:
@@ -403,9 +403,7 @@ def conditional_expectation(symbol: Symbol, g_hat: SpectralField, tau: float,
 
 def char_fn_field(symbol: Symbol, t: float, grid: FrequencyGrid) -> SpectralField:
     """mu_hat_t sampled on the grid."""
-    pts = grid.points()
-    vals = np.exp(-t * symbol(-pts if grid.d > 1 else -pts[:, 0]))
-    return SpectralField(grid, vals.reshape(grid.shape))
+    return SpectralField(grid, np.exp(-t * symbol_on_grid(symbol, grid, -1.0)))
 
 
 def density(symbol: Symbol, t: float, x_points, grid: FrequencyGrid) -> np.ndarray:

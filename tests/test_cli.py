@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -206,6 +207,28 @@ def test_tabulated_density_route(tmp_path):
     assert res.returncode == 0, res.stderr
     doc = json.loads((out / "index.json").read_text())
     assert doc["result"]["sobolev_index"] == pytest.approx(1.2, abs=0.1)
+
+
+def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypatch):
+    points = []
+    build = cli.build_symbol
+
+    def counting_build(cfg):
+        sym, rec = build(cfg)
+
+        def fn(pts):
+            points.append(len(pts))
+            return sym.fn(pts)
+        return dataclasses.replace(sym, fn=fn), rec
+
+    monkeypatch.setattr(cli, "build_symbol", counting_build)
+    cfg = {"task": "index", "process.family": "powerlaw", "process.coef": 1.0,
+           "process.Y": 1.3, "grid.r_max": 1e4, "grid.points_per_decade": 8}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    assert sum(points) == len(cli._grid_spec(cfg).radii()) == 17
+    rows = [ln for ln in (tmp_path / "index.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert len(rows) == 1 + 17
 
 
 def test_emit_plot_data_refuses_empty(tmp_path):

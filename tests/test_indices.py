@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -173,6 +175,67 @@ def test_gamma_le_garding_for_pure_jump():
         sym = S.make_symbol(S.CGMYParams(1.0, 5.0, 5.0, Y))
         g, _ = I.fit_garding_exponent(sym)
         assert M.gamma_index(sym.density) <= g + 0.1
+
+
+# ---------------------------------------------------------------------------
+# shared rays and Hermitian mirroring
+# ---------------------------------------------------------------------------
+
+MIRRORED = {
+    "brownian": S.BrownianParams(sigma=1.0, b=0.3),
+    "nig": S.NIGParams(alpha=10.0, beta=3.0, delta=1.0, mu=0.2),
+    "cauchy": S.CauchyParams(c=1.0, gamma=0.5),
+    "student_t": S.StudentTParams(f=4.0, mu=0.3),
+    **{f"cgmy_{Y}": S.CGMYParams(1.0, 2.0, 4.0, Y) for Y in (0.0, 0.7, 1.0, 1.5)},
+    **{f"stable_{a}": S.Stable1dParams(alpha=a, c=1.0) for a in (0.3, 1.0, 1.6)},
+    "stable_0.7_drift": S.Stable1dParams(alpha=0.7, c=1.0, tau=0.4),
+    "stable_1_nonstrict": S.Stable1dParams(alpha=1.0, c=1.0, beta=0.5, tau=0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRRORED))
+def test_mirrored_ray_is_bit_exact(name):
+    # the licence for evaluating only the +1 ray: A(-r) == conj(A(r)) bitwise
+    sym = S.make_symbol(MIRRORED[name])
+    r = I.GridSpec().radii()
+    assert np.array_equal(sym(-r), np.conj(sym(r)))
+
+
+def test_mirrored_ray_is_bit_exact_for_gh_density():
+    sym = M.density_symbol(M.gh_expansion_density(C1=0.5, C2=0.1, C3=0.05, damping=1.0))
+    r = I.GridSpec(r_max=1e5, points_per_decade=8).radii()
+    assert np.array_equal(sym(-r), np.conj(sym(r)))
+
+
+def test_one_dimensional_index_evaluates_each_radius_once(cgmy15):
+    seen = []
+
+    def counting(pts):
+        seen.extend(pts[:, 0].tolist())
+        return cgmy15.fn(pts)
+
+    grid = I.GridSpec()
+    rep = I.sobolev_index(dataclasses.replace(cgmy15, fn=counting), grid)
+    assert sorted(seen) == grid.radii().tolist()
+    assert rep.to_record() == I.sobolev_index(cgmy15, grid).to_record()
+
+
+@pytest.mark.parametrize("params", [
+    S.CauchyParams(c=1.0), S.StudentTParams(f=4.0),
+    S.NIGParams(alpha=10.0, beta=3.0, delta=1.0), S.CGMYParams(1.0, 2.0, 4.0, 1.5),
+    S.CGMYParams(1.0, 5.0, 5.0, 0.0), S.Stable1dParams(alpha=1.6, c=1.0),
+    S.Stable1dParams(alpha=1.0, c=1.0, beta=0.5),
+], ids=["cauchy", "student_t", "nig", "cgmy", "vg", "stable", "stable_nonstrict"])
+def test_mirrored_index_matches_two_ray_index(params):
+    # symbol_from_callable has no known symmetry, so it evaluates both rays
+    sym = S.make_symbol(params)
+    mirrored = I.sobolev_index(sym).to_record()
+    two_ray = I.sobolev_index(S.symbol_from_callable(sym.fn)).to_record()
+    # the jump indices need the density, which the bare callable lacks
+    assert two_ray["beta"] is None and two_ray["gamma"] is None
+    for key in ("beta", "gamma"):
+        del mirrored[key], two_ray[key]
+    assert mirrored == two_ray
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from levysobolev.errors import (
     Inconsistent,
     InvalidParams,
     NotOneDimensional,
+    QuadratureFailure,
 )
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,31 @@ def test_closed_form_vs_quadrature_cgmy(Y):
             a_quad = a_fs + a_fas
         closed = sym(float(u))
         assert abs(a_quad - closed) <= 1e-6 * max(abs(closed), 1e-12)
+
+
+@pytest.mark.parametrize("G, M_", [(1.52, 4.78), (4.78, 1.52)])
+def test_closed_form_vs_quadrature_cgmy_strong_skew(G, M_):
+    # max(G, M)/min(G, M) > 2.9: f_as must stay finite out to the cutoff
+    sym = S.make_symbol(S.CGMYParams(1.0, G, M_, 1.5))
+    sp = M.split_symmetric(M.cgmy_density(1.0, G, M_, 1.5))
+    for u in (-100.0, -7.0, 0.5, 3.0, 30.0, 100.0):
+        a_fs, a_fas = M.symbol_parts_from_density(sp, u)
+        closed = sym(u)
+        assert abs(a_fs + a_fas - closed) <= 1e-6 * abs(closed)
+
+
+def test_nonfinite_part_raises_quadrature_failure():
+    f = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.5
+
+    def f_as(x):  # finite near the origin, NaN in the tail
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) < 1.0, 0.5 * np.sign(x) * f(x), np.nan)
+
+    d = M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0, finite_variation=True,
+                      cutoff=50.0, name="nan-tail", f_as_exact=f_as)
+    sp = M.split_symmetric(d)
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        M.symbol_parts_from_density(sp, 3.0)
 
 
 def test_nig_quadrature_matches_closed_form(nig_skew):
