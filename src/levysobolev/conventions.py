@@ -1,4 +1,4 @@
-"""Fourier and sign conventions, fixed once and imported everywhere.
+"""Fourier and sign conventions of the package.
 
 Transform pair:
 
@@ -10,21 +10,13 @@ Characteristic function of the process at time t:
     mu_hat_t(xi) = E e^{i<xi,L_t>} = e^{-t*A(-xi)}
 
 so the time-t propagator acting on transformed payoffs is the decaying
-factor e^{-tau*A(xi)} (consistent with Re A >= 0).  Every module derives
-its signs from these three lines; none hard-codes its own.
+factor e^{-tau*A(xi)} (consistent with Re A >= 0).  Only the inverse
+prefactor is shared as code (`inv_scale`, used by spectral); the exponents
+are written out where they are applied, e^{-t A(-xi)} in Symbol.char_fn and
+e^{-tau A(xi)} in spectral's propagators, and must follow these lines.
 """
 
 import numpy as np
-
-
-def propagator(symbol, tau, xi):
-    """e^{-tau*A(xi)}: multiplier advancing u_hat by time tau."""
-    return np.exp(-tau * symbol(xi))
-
-
-def char_fn_values(symbol, t, xi):
-    """mu_hat_t(xi) = e^{-t*A(-xi)} for xi of shape (...,) or (..., d)."""
-    return np.exp(-t * symbol(np.negative(xi)))
 
 
 def inv_scale(d: int) -> float:

@@ -1,17 +1,6 @@
-"""Shared least-squares helpers for log-log slope estimation."""
+"""The least-squares line fit behind every log-log slope estimate."""
 
 import numpy as np
-
-
-def loglog_fit(x, y):
-    """Slope, intercept and R^2 of log y against log x (x, y > 0)."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
 
 
 def linear_fit(x, y):

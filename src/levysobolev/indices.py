@@ -17,7 +17,8 @@ lower-order exponent stays below alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -221,23 +222,8 @@ class IndexReport:
     rays: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def to_record(self) -> dict:
-        rec = {
-            "alpha_cont": self.alpha_cont,
-            "alpha_gard": self.alpha_gard,
-            "sobolev_index": self.sobolev_index,
-            "sub_polynomial": self.sub_polynomial,
-            "residual_growth": self.residual_growth,
-            "beta_lower": self.beta_lower,
-            "garding_c2": self.garding_c2,
-            "r2_cont": self.r2_cont,
-            "r2_gard": self.r2_gard,
-            "tol": self.tol,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "verdicts": dict(self.verdicts),
-            "diagnostics": dict(self.diagnostics),
-        }
-        return rec
+        """The compared fields (all but `rays`), dicts copied one level deep."""
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self) if f.compare}
 
     @classmethod
     def from_record(cls, rec: dict) -> "IndexReport":

@@ -19,6 +19,13 @@ eps = 1e-4 fixed:
     handled by adaptive quadrature, with the oscillatory factors cos(ux),
     sin(ux) delegated to weighted (QAWO/QAWF) rules.
 
+Every range away from the origin is integrated by one panel rule: decade
+panels [a, min(10 a, hi)], additionally capped at 60 radians of phase
+(width 60/|u|) below the oscillation cutoff 30/|u|, one `quad` call per
+panel with values and |errors| summed.  Beyond the cutoff the plain masses
+int w over the panels do not depend on u; they sit on the decade ladder
+eps*10^k and are cached on the split, panel by panel.
+
 The antisymmetric part requires int |x f_as| dx < infinity; that precondition
 is probed numerically and DivergentIntegral raised when it fails.
 """
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,11 +44,12 @@ from scipy.special import kve
 
 from .errors import DivergentIntegral, FitUnstable, Inconsistent, InvalidParams, \
     NotOneDimensional, QuadratureFailure
-from .fitting import loglog_fit
+from .fitting import linear_fit
 from .symbols import Symbol, symbol_from_callable
 
 EPS_INNER = 1e-4          # fixed split radius between singular head and the rest
 _SERIES_CUT = 4.0         # switch point for I_Y between series and tail form
+_PHASE_CAP = 60.0         # radians of phase per panel below the oscillation cutoff
 _QUAD_KW = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 
 
@@ -304,7 +313,27 @@ class DensitySplit:
     finite_variation: Optional[bool] = None
     cutoff: float = np.inf
     name: str = "split"
+    # u-independent quadrature results: ("m1", eps) and (tag, a, b) per panel
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def r_eff(self) -> float:
+        """Outer integration limit: the cutoff, else where f_s(r) r^2 <= 1e-20."""
+        if np.isfinite(self.cutoff):
+            return float(self.cutoff)
+        r = 1.0
+        while r < 1e9 and self.f_s(np.array([r]))[0] * r * r > 1e-20:
+            r *= 2.0
+        return r
+
+    @cached_property
+    def pure_head(self) -> bool:
+        """True when f_s is exactly its power-law head on the whole line."""
+        if self.y_hint is None or not self.c_hint or not np.isinf(self.cutoff):
+            return False
+        xs = np.geomspace(1e-8, 1e6, 30)
+        head = self.c_hint / xs ** (1.0 + self.y_hint)
+        return bool(np.all(np.abs(self.f_s(xs) - head) <= 1e-13 * head))
 
 
 def split_symmetric(density: LevyDensity) -> DensitySplit:
@@ -379,99 +408,56 @@ def _head_partial(z: float, Y: float) -> float:
 # A_fs and A_fas by quadrature
 # --------------------------------------------------------------------------
 
-def _effective_cutoff(split: DensitySplit) -> float:
-    if np.isfinite(split.cutoff):
-        return float(split.cutoff)
-    key = "r_eff"
-    if key not in split._cache:
-        r = 1.0
-        while r < 1e9 and split.f_s(np.array([r]))[0] * r * r > 1e-20:
-            r *= 2.0
-        split._cache[key] = r
-    return split._cache[key]
+def _panels(lo: float, hi: float, width: float = np.inf, anchor: float | None = None):
+    """Panels [a, b] covering [lo, hi] with b = min(hi, 10 a, a + width).
+
+    With an `anchor`, lo sits on the ladder anchor*10^k and the decade edge
+    10 a is taken as anchor*10^(k+1): repeated multiplication by 10 drifts
+    off that ladder by an ulp below the anchor and can leave a sliver panel.
+    """
+    k = round(math.log10(lo / anchor)) if anchor else 0
+    a = lo
+    while a < hi:
+        k += 1
+        b = min(hi, anchor * 10.0 ** k if anchor else a * 10.0, a + width)
+        yield a, b
+        a = b
 
 
-def _is_pure_head(split: DensitySplit) -> bool:
-    """True when f_s is exactly its power-law head on the whole line."""
-    if split.y_hint is None or not split.c_hint or not np.isinf(split.cutoff):
-        return False
-    key = "pure_head"
-    if key not in split._cache:
-        xs = np.geomspace(1e-8, 1e6, 30)
-        head = split.c_hint / xs ** (1.0 + split.y_hint)
-        split._cache[key] = bool(np.all(np.abs(split.f_s(xs) - head) <= 1e-13 * head))
-    return split._cache[key]
+def _panel_sum(fn, panels, kw: dict, split: DensitySplit | None = None,
+               tag: str = ""):
+    """Sum of quad(fn, a, b, **kw) over the panels, and of the |errors|.
+
+    With a `split`, each panel's result is stored on it under (tag, a, b)
+    and reused; callers do so only for u-independent masses at _QUAD_KW.
+    """
+    cache = {} if split is None else split._cache
+    total, err = 0.0, 0.0
+    for a, b in panels:
+        if (tag, a, b) not in cache:
+            cache[tag, a, b] = quad(fn, a, b, **kw)
+        val, e = cache[tag, a, b]
+        total += val
+        err += abs(e)
+    return total, err
 
 
-def _osc_segments(w, lo: float, hi: float, u: float, trig: str, limit: int,
-                  skip_tol: float):
-    """int_lo^hi trig(u x) w(x) dx by geometric-segment QAWO.
+def _osc_tail(w, lo: float, hi: float, u: float, trig: str, limit: int,
+              skip_tol: float, anchor: float | None = None):
+    """int_lo^hi trig(u x) w(x) dx by QAWO on decade panels.
 
-    Segments grow by factor 10 so w has a modest dynamic range on each; once
-    the integration-by-parts envelope 2|w|/|u| of the remaining tail drops
-    below skip_tol the tail is dropped and counted as error instead.
+    Once the integration-by-parts envelope 2|w(a)|/|u| of the remaining tail
+    drops below skip_tol the tail is dropped and counted as error instead.
     """
     total, err = 0.0, 0.0
-    lo_seg = lo
-    while lo_seg < hi:
-        env = 2.0 * abs(float(np.asarray(w(np.array([lo_seg])))[0])) / abs(u)
+    for a, b in _panels(lo, hi, anchor=anchor):
+        env = 2.0 * abs(float(np.asarray(w(np.array([a])))[0])) / abs(u)
         if env < skip_tol:
             err += env
             break
-        hi_seg = min(hi, lo_seg * 10.0)
-        val, e = quad(w, lo_seg, hi_seg, weight=trig, wvar=u,
-                      epsabs=1e-13, limit=limit)
+        val, e = quad(w, a, b, weight=trig, wvar=u, epsabs=1e-13, limit=limit)
         total += val
         err += abs(e)
-        lo_seg = hi_seg
-    return total, err
-
-
-def _mass_segments(w, lo: float, hi: float, kw: dict):
-    """Plain integral of w over [lo, hi] in decade segments (power-law safe)."""
-    total, err = 0.0, 0.0
-    a = lo
-    while a < hi:
-        b = min(hi, a * 10.0)
-        val, e = quad(w, a, b, **kw)
-        total += val
-        err += abs(e)
-        a = b
-    return total, err
-
-
-def _capped_segments(fn, lo: float, hi: float, au: float, kw: dict):
-    """Integral of an oscillatory integrand in segments of at most one decade
-    and at most ~60 radians of phase, so each QAGS call stays cheap."""
-    total, err = 0.0, 0.0
-    a = lo
-    while a < hi:
-        b = min(hi, a * 10.0, a + 60.0 / au)
-        val, e = quad(fn, a, b, **kw)
-        total += val
-        err += abs(e)
-        a = b
-    return total, err
-
-
-def _ladder_mass(split: DensitySplit, w, a: float, hi: float, anchor: float,
-                 tag: str):
-    """Plain mass of w over [a, hi] where a sits on the decade ladder
-    anchor*10^k; per-decade values are u-independent, computed once at the
-    tight default tolerances and cached on the split."""
-    total, err = 0.0, 0.0
-    k = int(round(np.log10(a / anchor)))
-    lo_seg = a
-    while lo_seg < hi:
-        hi_seg = min(hi, anchor * 10.0 ** (k + 1))
-        key = (tag, anchor, k, hi_seg)
-        if key not in split._cache:
-            split._cache[key] = quad(w, lo_seg, hi_seg, **_QUAD_KW)
-        val, e = split._cache[key]
-        total += val
-        err += abs(e)
-        k += 1
-        lo_seg = hi_seg
     return total, err
 
 
@@ -509,43 +495,43 @@ def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
     anchor*10^k so the u-independent mass pieces are cached per split.
     """
     au = abs(u)
+    width = _PHASE_CAP / au
+    integrand = lambda x: (1.0 - np.cos(u * x)) * w(x)
     total, err = 0.0, 0.0
     a = lo
     x_osc = 30.0 / au
     if x_osc > lo:
         b = min(hi, x_osc)
-        integrand = lambda x: (1.0 - np.cos(u * x)) * w(x)
         if lo == 0.0:
             # integrand ~ u^2 x^2 w -> 0 at the origin: a single call works
             pts = [p for p in (b * 1e-4, b * 1e-2) if lo < p < b] or None
             val, e = quad(integrand, a, b, points=pts, **kw)
         else:
-            val, e = _capped_segments(integrand, a, b, au, kw)
+            val, e = _panel_sum(integrand, _panels(a, b, width), kw)
         total += val
         err += abs(e)
         a = b
     if a < hi:
         snap = min(hi, anchor * 10.0 ** np.ceil(np.log10(a / anchor) - 1e-12))
         if a < snap:
-            val, e = _capped_segments(lambda x: (1.0 - np.cos(u * x)) * w(x),
-                                      a, snap, au, kw)
+            val, e = _panel_sum(integrand, _panels(a, snap, width), kw)
             total += val
-            err += abs(e)
+            err += e
             a = snap
         if a < hi:
-            mass, e1 = _ladder_mass(split, w, a, hi, anchor, tag)
-            osc, e2 = _osc_segments(w, a, hi, u, "cos", kw["limit"], skip_tol)
+            mass, e1 = _panel_sum(w, _panels(a, hi, anchor=anchor), _QUAD_KW, split, tag)
+            osc, e2 = _osc_tail(w, a, hi, u, "cos", kw["limit"], skip_tol, anchor)
             total += mass - osc
-            err += abs(e1) + e2
+            err += e1 + e2
     return total, err
 
 
 def _first_moment_as(split: DensitySplit, eps: float):
     key = ("m1", eps)
     if key not in split._cache:
-        hi = _effective_cutoff(split)
         inner, e1 = _inner_singular_quad(lambda x: x * split.f_as(x), eps, _QUAD_KW)
-        outer, e2 = _mass_segments(lambda x: x * split.f_as(x), eps, hi, _QUAD_KW)
+        outer, e2 = _panel_sum(lambda x: x * split.f_as(x), _panels(eps, split.r_eff),
+                               _QUAD_KW)
         split._cache[key] = (2.0 * (inner + outer), 2.0 * (abs(e1) + abs(e2)))
     return split._cache[key]
 
@@ -611,7 +597,7 @@ def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
     # and relative to the budget (the envelope decays fast, so this costs
     # at most a few extra segments)
     skip_tol = max(1e-13, 1e-5 * budget)
-    if use_head and _is_pure_head(split):
+    if use_head and split.pure_head:
         # f_s = C/|x|^{1+Y} exactly: the substitution integral covers the line
         a_fs = 2.0 * C * au**Y * _head_total(Y)
     else:
@@ -623,12 +609,10 @@ def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
         else:
             head = 0.0
             g = split.f_s
-        hi = _effective_cutoff(split)
         rem, e1 = _one_minus_cos_region(split, g, 0.0, eps, u, kw, skip_tol,
-                                        anchor=eps, tag=f"g:{eps}:{refine}")
-        outer, e2 = _one_minus_cos_region(split, split.f_s, eps, hi, u, kw,
-                                          skip_tol, anchor=eps,
-                                          tag=f"fs:{eps}:{refine}")
+                                        anchor=eps, tag="g")
+        outer, e2 = _one_minus_cos_region(split, split.f_s, eps, split.r_eff, u, kw,
+                                          skip_tol, anchor=eps, tag="fs")
         err_acc += e1 + e2
         a_fs = head + 2.0 * (rem + outer)
 
@@ -640,19 +624,19 @@ def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
         _check_as_integrable(split)
         m1, e_m1 = _first_moment_as(split, eps)
         err_acc += abs(e_m1)
-        hi = _effective_cutoff(split)
+        hi = split.r_eff
         x1 = float(np.clip(30.0 / au, eps, hi))
         lo = min(eps, x1)
         s_total, e = _inner_singular_quad(
             lambda x: np.sin(u * x) * split.f_as(x), lo, kw)
         err_acc += abs(e)
         if lo < x1:
-            val, e = _capped_segments(lambda x: np.sin(u * x) * split.f_as(x),
-                                      lo, x1, au, kw)
+            val, e = _panel_sum(lambda x: np.sin(u * x) * split.f_as(x),
+                                _panels(lo, x1, _PHASE_CAP / au), kw)
             s_total += val
             err_acc += abs(e)
         if x1 < hi:
-            s_out, e = _osc_segments(split.f_as, x1, hi, u, "sin", kw["limit"], skip_tol)
+            s_out, e = _osc_tail(split.f_as, x1, hi, u, "sin", kw["limit"], skip_tol)
             s_total += s_out
             err_acc += abs(e)
         a_fas = 1j * (2.0 * s_total - u * m1)
@@ -729,7 +713,7 @@ def bg_index(density: LevyDensity) -> float:
     if ly.max() - ly.min() < 0.1:
         beta_fit = 0.0  # flat: bounded density, all alpha > 0 integrable
     else:
-        slope, _, r2 = loglog_fit(xs, ys)
+        slope, _, r2 = linear_fit(np.log(xs), ly)
         if r2 < 0.99:
             raise FitUnstable(f"{density.name}: local power fit R^2 = {r2:.4f}")
         beta_fit = max(-slope - 1.0, 0.0)
@@ -768,7 +752,7 @@ def gamma_index(density: LevyDensity) -> float:
         vals[i] = acc
     if vals[-1] <= 0:
         return 0.0
-    slope, _, r2 = loglog_fit(rs, np.maximum(vals, 1e-300))
+    slope, _, r2 = linear_fit(np.log(rs), np.log(np.maximum(vals, 1e-300)))
     if r2 < 0.99:
         raise FitUnstable(f"{density.name}: G(r) fit R^2 = {r2:.4f}")
     return float(np.clip(2.0 - slope, 0.0, 2.0))
@@ -809,7 +793,7 @@ def _ratio_trend(us, ratio, top_frac=0.25):
     pos = ratio[top] > 0
     if pos.sum() < 4:
         return -np.inf
-    slope, _, _ = loglog_fit(us[top][pos], ratio[top][pos])
+    slope, _, _ = linear_fit(np.log(us[top][pos]), np.log(ratio[top][pos]))
     return slope
 
 

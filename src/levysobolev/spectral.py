@@ -5,13 +5,13 @@ Every catalog symbol is a Fourier multiplier, so on the truncated frequency
 grid the parabolic problem d_t u + A u = f decouples into scalar ODEs
 u_hat'(t, xi) = -A(xi) u_hat(t, xi) + f_hat(t, xi); the Galerkin system in
 the Fourier basis is exactly diagonal and no operator matrices are ever
-assembled.  Conventions (transform pair, propagator sign) come from
-conventions.py.
+assembled.  Signs follow conventions.py: the inverse prefactor is imported
+from there, the propagator e^{-tau A(xi)} is written out here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -103,11 +103,7 @@ class SpectralField:
         on the grid and is required to be real instead.
         """
         v = self.values
-        mirrored = v
-        for ax in range(self.grid.d):
-            idx = (-np.arange(self.grid.N)) % self.grid.N
-            mirrored = np.take(mirrored, idx, axis=ax)
-        defect = np.abs(mirrored - np.conj(v)).max()
+        defect = np.abs(_mirrored(self) - np.conj(v)).max()
         edge = np.abs(np.imag(np.take(v, 0, axis=0))).max()
         return float(max(defect, edge))
 
@@ -115,14 +111,18 @@ class SpectralField:
         return self.conj_symmetry_defect() <= tol
 
 
+def _mirrored(field: SpectralField) -> np.ndarray:
+    """u_hat(-xi) on the grid: mode k goes to (N - k) mod N along every axis."""
+    idx = (-np.arange(field.grid.N)) % field.grid.N
+    mirrored = field.values
+    for ax in range(field.grid.d):
+        mirrored = np.take(mirrored, idx, axis=ax)
+    return mirrored
+
+
 def conj_symmetrize(field: SpectralField) -> SpectralField:
     """Project onto the conjugate-symmetric (real spatial) subspace."""
-    v = field.values
-    mirrored = v
-    for ax in range(field.grid.d):
-        idx = (-np.arange(field.grid.N)) % field.grid.N
-        mirrored = np.take(mirrored, idx, axis=ax)
-    sym = 0.5 * (v + np.conj(mirrored))
+    sym = 0.5 * (field.values + np.conj(_mirrored(field)))
     return SpectralField(field.grid, sym)
 
 
@@ -188,13 +188,7 @@ class FormReport:
     passed: bool
 
     def to_record(self) -> dict:
-        return {
-            "alpha": self.alpha, "trials": self.trials, "seed": self.seed,
-            "continuity_c": self.continuity_c, "garding_c2": self.garding_c2,
-            "garding_c3": self.garding_c3, "garding_slope": self.garding_slope,
-            "slope_ok": self.slope_ok, "trial_min_slack": self.trial_min_slack,
-            "im_over_one_plus_re": self.im_over_one_plus_re, "passed": self.passed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "FormReport":

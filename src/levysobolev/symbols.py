@@ -169,8 +169,10 @@ def _density_has_finite_compensator(density) -> bool:
     xs = np.geomspace(1.0, 1e4, 200)
     try:
         vals = xs * (np.abs(density.f(xs)) + np.abs(density.f(-xs)))
-    except Exception:
-        return True  # opaque density: cannot refute
+    except Exception as exc:
+        raise InvalidParams(
+            f"levy_density.f failed on a float array ({type(exc).__name__}: {exc})"
+        ) from exc
     partial = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))
     if partial[-1] == 0.0:
         return True
@@ -444,15 +446,6 @@ def stable_symbol_1d(params: Stable1dParams) -> Symbol:
     sym = Symbol(1, "stable1d", params, _stable1d_fn(a, params.c, params.beta, params.tau))
     _sanity_check(sym)
     return sym
-
-
-def eval(symbol: Symbol, xi):  # noqa: A001 - spec operation name
-    """A(xi); deterministic, same input gives bit-identical output."""
-    return symbol(xi)
-
-
-def char_fn(symbol: Symbol, t: float, xi):
-    return symbol.char_fn(t, xi)
 
 
 def check_semistable_scaling(symbol: Symbol, a: float, b: float, c, grid) -> float:

@@ -130,6 +130,38 @@ def test_closed_form_vs_quadrature_cgmy_strong_skew(G, M_):
         assert abs(a_fs + a_fas - closed) <= 1e-6 * abs(closed)
 
 
+@pytest.mark.parametrize("u", [5e6, -5e6, 2e7, -2e7])
+def test_closed_form_vs_quadrature_cgmy_sub_eps_ladder(u):
+    # 30/|u| < eps/10: the cached masses of the head remainder start below
+    # eps on the ladder eps*10^k, k < 0
+    sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.5))
+    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 1.5))
+    a_fs, a_fas = M.symbol_parts_from_density(sp, u)
+    closed = sym(u)
+    assert abs(a_fs + a_fas - closed) <= 1e-6 * abs(closed)
+
+
+@pytest.mark.parametrize("density, calls", [
+    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), 110),
+    (M.nig_density(10.0, 2.0, 1.0), 101),
+    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), 111),
+])
+def test_symbol_parts_quad_call_count(density, calls, monkeypatch):
+    # deterministic work gate: QUADPACK calls of a fresh split over a fixed
+    # u sequence, u-independent panel masses cached after the first u
+    count = [0]
+
+    def counting_quad(*args, **kwargs):
+        count[0] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(M, "quad", counting_quad)
+    sp = M.split_symmetric(density)
+    for u in (0.5, 3.0, 30.0, 100.0, 1e4, 1e6, -100.0):
+        M.symbol_parts_from_density(sp, u)
+    assert count[0] == calls
+
+
 def test_nonfinite_part_raises_quadrature_failure():
     f = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.5
 

@@ -316,3 +316,16 @@ def test_triplet_identity_truncation_needs_tail_moment():
                       truncation=S.Truncation.IDENTITY)
     # unit-ball truncation accepts the same tail
     S.LevyTriplet(1, 0.0, 0.0, levy_density=heavy, truncation=S.Truncation.UNIT_BALL)
+
+
+def test_triplet_density_failing_on_arrays_raises_invalid_params():
+    class ScalarOnly:
+        finite_variation = None
+
+        @staticmethod
+        def f(x):
+            return float(np.exp(-abs(x)))  # TypeError on arrays of size > 1
+
+    with pytest.raises(InvalidParams, match="failed on a float array") as info:
+        S.LevyTriplet(1, 0.0, 0.0, levy_density=ScalarOnly())
+    assert isinstance(info.value.__cause__, TypeError)
