@@ -7,8 +7,9 @@ Tasks: symbol-eval | index | inequalities | evolve | price | density | catalog.
 The config is a single flat JSON object; --set overrides file keys; --seed
 overrides the `seed` key.  Exit codes: 0 success, 1 numerical failure
 (quadrature/fit errors, surfaced with the failing operation), 2 config
-error.  Identical config + seed produces byte-identical outputs: no
-timestamps, sorted keys, shortest-roundtrip float formatting.
+error, including a value that does not parse as its key's type (the key
+is named on stderr).  Identical config + seed produces byte-identical
+outputs: no timestamps, sorted keys, shortest-roundtrip float formatting.
 
 Config keys (defaults in _DEFAULTS below, echoed into every output):
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import measures, spectral
 from .errors import ConfigError, InvalidParams, IoError, LevySobolevError
-from .indices import GridSpec, cross_check, sobolev_index
+from .indices import CATALOG, GridSpec, cross_check, sobolev_index
 from .symbols import Symbol, make_symbol, params_from_record, params_to_record
 
 _DEFAULTS = {
@@ -72,16 +73,21 @@ _DEFAULTS = {
     "eval.u_count": 64,
 }
 
-_TASKS = ("symbol-eval", "index", "inequalities", "evolve", "price",
-          "density", "catalog")
-
-
 def _stage(msg: str) -> None:
     print(f"[levysobolev] {msg}", file=sys.stderr)
 
 
+def _convert(key: str, value, typ):
+    try:
+        return typ(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot read {value!r} as {typ.__name__}") from exc
+
+
 def _cfg(cfg: dict, key: str):
-    return cfg.get(key, _DEFAULTS.get(key))
+    """The value of `key`, converted to the type of its _DEFAULTS entry."""
+    default = _DEFAULTS[key]
+    return _convert(key, cfg.get(key, default), type(default))
 
 
 def load_config(path: str) -> dict:
@@ -141,15 +147,19 @@ def build_symbol(cfg: dict) -> tuple[Symbol, dict]:
         raise ConfigError(f"missing parameter {exc} for family {fam!r}") from exc
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        given = ", ".join(f"process.{k}={v!r}" for k, v in rec.items()
+                          if k != "family" and isinstance(v, str))
+        raise ConfigError(f"cannot read process parameters ({given}): {exc}") from exc
 
 
 def _grid_spec(cfg: dict) -> GridSpec:
     try:
         return GridSpec(
-            r_min=float(_cfg(cfg, "grid.r_min")),
-            r_max=float(_cfg(cfg, "grid.r_max")),
-            points_per_decade=int(_cfg(cfg, "grid.points_per_decade")),
-            n_directions=int(_cfg(cfg, "grid.directions")),
+            r_min=_cfg(cfg, "grid.r_min"),
+            r_max=_cfg(cfg, "grid.r_max"),
+            points_per_decade=_cfg(cfg, "grid.points_per_decade"),
+            n_directions=_cfg(cfg, "grid.directions"),
         )
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
@@ -157,22 +167,21 @@ def _grid_spec(cfg: dict) -> GridSpec:
 
 def _freq_grid(cfg: dict) -> spectral.FrequencyGrid:
     try:
-        return spectral.FrequencyGrid(1, int(_cfg(cfg, "freq.N")),
-                                      float(_cfg(cfg, "freq.Xi")))
+        return spectral.FrequencyGrid(1, _cfg(cfg, "freq.N"), _cfg(cfg, "freq.Xi"))
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _payoff_hat(cfg: dict, grid: spectral.FrequencyGrid) -> spectral.SpectralField:
-    kind = str(_cfg(cfg, "payoff.kind")).lower()
-    w = float(_cfg(cfg, "payoff.width"))
-    c = float(_cfg(cfg, "payoff.center"))
+    kind = _cfg(cfg, "payoff.kind").lower()
+    w = _cfg(cfg, "payoff.width")
+    c = _cfg(cfg, "payoff.center")
     if kind == "gaussian":
         # g(x) = exp(-(x-c)^2/(2 w^2)):  g_hat(xi) = w sqrt(2 pi) e^{i xi c - w^2 xi^2/2}
         fn = lambda xi: w * np.sqrt(2 * np.pi) * np.exp(1j * xi * c - 0.5 * (w * xi) ** 2)
     elif kind == "hermite":
         from scipy.special import eval_hermite
-        n = int(_cfg(cfg, "payoff.order"))
+        n = _cfg(cfg, "payoff.order")
         # h_n(x) = H_n(x) e^{-x^2/2} transforms to sqrt(2 pi) i^n h_n(xi)
         fn = lambda xi: np.sqrt(2 * np.pi) * (1j ** n) * eval_hermite(n, xi) * np.exp(-xi**2 / 2)
     else:
@@ -183,10 +192,10 @@ def _payoff_hat(cfg: dict, grid: spectral.FrequencyGrid) -> spectral.SpectralFie
 def _x_points(cfg: dict, prefix: str) -> np.ndarray:
     raw = cfg.get(f"{prefix}.x_points")
     if raw is not None:
-        return np.array([float(v) for v in str(raw).split(",")])
-    return np.linspace(float(_cfg(cfg, f"{prefix}.x_min")),
-                       float(_cfg(cfg, f"{prefix}.x_max")),
-                       int(_cfg(cfg, f"{prefix}.x_count")))
+        return np.array([_convert(f"{prefix}.x_points", v, float)
+                         for v in str(raw).split(",")])
+    return np.linspace(_cfg(cfg, f"{prefix}.x_min"), _cfg(cfg, f"{prefix}.x_max"),
+                       _cfg(cfg, f"{prefix}.x_count"))
 
 
 # --------------------------------------------------------------------------
@@ -205,15 +214,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_json(payload: dict, cfg: dict, path: str) -> None:
-    doc = {"provenance": _provenance(cfg), "result": payload}
+def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     _stage(f"wrote {path}")
+
+
+def write_json(payload: dict, cfg: dict, path: str) -> None:
+    doc = {"provenance": _provenance(cfg), "result": payload}
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
@@ -227,12 +239,7 @@ def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    _stage(f"wrote {path}")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -242,8 +249,8 @@ def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
 def _task_symbol_eval(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
-    us = np.geomspace(float(_cfg(cfg, "eval.u_min")), float(_cfg(cfg, "eval.u_max")),
-                      int(_cfg(cfg, "eval.u_count")))
+    us = np.geomspace(_cfg(cfg, "eval.u_min"), _cfg(cfg, "eval.u_max"),
+                      _cfg(cfg, "eval.u_count"))
     us = np.concatenate([-us[::-1], [0.0], us])
     vals = np.array([sym(float(u)) for u in us])
     _stage(f"evaluated symbol at {len(us)} points")
@@ -260,7 +267,7 @@ def _task_index(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     grid = _grid_spec(cfg)
-    report = sobolev_index(sym, grid, tol=float(_cfg(cfg, "index.tol")))
+    report = sobolev_index(sym, grid, tol=_cfg(cfg, "index.tol"))
     if report.beta is not None and report.sobolev_index is not None:
         cross_check(report)
     _stage(f"index fit done: alpha_cont={report.alpha_cont:.4f} "
@@ -289,8 +296,8 @@ def _task_inequalities(cfg, out_dir):
         alpha = report.sobolev_index
     fg = _freq_grid(cfg)
     form = spectral.verify_form_inequalities(
-        sym, float(alpha), int(_cfg(cfg, "ineq.trials")), fg,
-        seed=int(_cfg(cfg, "seed")), radial_grid=_grid_spec(cfg))
+        sym, _convert("ineq.alpha", alpha, float), _cfg(cfg, "ineq.trials"), fg,
+        seed=_cfg(cfg, "seed"), radial_grid=_grid_spec(cfg))
     _stage(f"form verification done: passed={form.passed} c2={form.garding_c2:.4g}")
     write_json({"family": rec, **form.to_record()}, cfg,
                os.path.join(out_dir, "inequalities.json"))
@@ -300,9 +307,8 @@ def _task_evolve(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)
-    traj = spectral.evolve(sym, g_hat, None, float(_cfg(cfg, "evolve.T")),
-                           int(_cfg(cfg, "evolve.K")),
-                           str(_cfg(cfg, "evolve.scheme")))
+    traj = spectral.evolve(sym, g_hat, None, _cfg(cfg, "evolve.T"), _cfg(cfg, "evolve.K"),
+                           _cfg(cfg, "evolve.scheme"))
     _stage(f"evolved {len(traj.times)} time points, scheme={traj.scheme}")
     xi = fg.axis()
     rows = []
@@ -322,9 +328,10 @@ def _task_price(cfg, out_dir):
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)
     xs = _x_points(cfg, "price")
-    vals = spectral.conditional_expectation(sym, g_hat, float(_cfg(cfg, "price.tau")), xs)
+    tau = _cfg(cfg, "price.tau")
+    vals = spectral.conditional_expectation(sym, g_hat, tau, xs)
     _stage(f"priced at {len(xs)} points")
-    write_json({"family": rec, "tau": float(_cfg(cfg, "price.tau")),
+    write_json({"family": rec, "tau": tau,
                 "x": [float(x) for x in xs],
                 "value": [float(np.real(v)) for v in vals]}, cfg,
                os.path.join(out_dir, "price.json"))
@@ -335,7 +342,7 @@ def _task_price(cfg, out_dir):
 def _task_density(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     fg = _freq_grid(cfg)
-    t = float(_cfg(cfg, "density.t"))
+    t = _cfg(cfg, "density.t")
     xs = _x_points(cfg, "density")
     vals = spectral.density(sym, t, xs, fg)
     mass = spectral.density_mass(sym, t, fg)
@@ -347,27 +354,12 @@ def _task_density(cfg, out_dir):
                    os.path.join(out_dir, "density.csv"))
 
 
-_CATALOG_ROWS = [
-    ("brownian", "positive definite sigma", "2"),
-    ("nig", "alpha^2 > <beta, Delta beta>", "1"),
-    ("cauchy", "c > 0", "1"),
-    ("student_t", "f > 0", "1"),
-    ("gh", "expansion C1/x^2 + C2/|x| + C3/x", "1"),
-    ("cgmy", "0 < Y < 2", "Y"),
-    ("vg", "CGMY with Y = 0", "none"),
-    ("stable1d", "alpha != 1, strict (beta=0, tau=0 if alpha<1)", "alpha"),
-    ("stable1d", "alpha = 1 strict (beta = 0)", "1"),
-    ("stable1d", "alpha = 1, beta != 0", "none"),
-]
-
-
 def _task_catalog(cfg, out_dir):
-    rows = [(fam, cond, idx) for fam, cond, idx in _CATALOG_ROWS]
-    _stage(f"catalog: {len(rows)} families")
+    _stage(f"catalog: {len(CATALOG)} families")
     write_json({"catalog": [{"family": f, "condition": c, "sobolev_index": i}
-                            for f, c, i in rows]}, cfg,
+                            for f, c, i in CATALOG]}, cfg,
                os.path.join(out_dir, "catalog.json"))
-    emit_plot_data(rows, ["family", "condition", "sobolev_index"], cfg,
+    emit_plot_data(CATALOG, ["family", "condition", "sobolev_index"], cfg,
                    os.path.join(out_dir, "catalog.csv"))
 
 
@@ -380,6 +372,7 @@ _RUNNERS = {
     "density": _task_density,
     "catalog": _task_catalog,
 }
+_TASKS = tuple(_RUNNERS)
 
 
 def run(cfg: dict, out_dir: str = ".") -> int:

@@ -286,24 +286,43 @@ def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
         try:
             report.beta = bg_index(symbol.density)
             report.gamma = gamma_index(symbol.density)
-        except FitUnstable:
-            pass
+        except FitUnstable as exc:
+            report.diagnostics["jump_indices"] = str(exc)
     return report
+
+
+# (family, condition, Sobolev index) of the analytic catalog
+CATALOG = (
+    ("brownian", "positive definite sigma", "2"),
+    ("nig", "alpha^2 > <beta, Delta beta>", "1"),
+    ("cauchy", "c > 0", "1"),
+    ("student_t", "f > 0", "1"),
+    ("gh", "expansion C1/x^2 + C2/|x| + C3/x", "1"),
+    ("cgmy", "0 < Y < 2", "Y"),
+    ("vg", "CGMY with Y = 0", "none"),
+    ("stable1d", "alpha != 1, strict (beta=0, tau=0 if alpha<1)", "alpha"),
+    ("stable1d", "alpha = 1 strict (beta = 0)", "1"),
+    ("stable1d", "alpha = 1, beta != 0", "none"),
+)
 
 
 def analytic_index(family) -> Optional[float]:
     """The catalog value: Brownian 2, NIG/Cauchy/Student-t/GH 1, CGMY Y
     (none for Y = 0), stable alpha with the strictness provisos.
 
-    Accepts a parameter record or one of the family-name strings.
+    Accepts a parameter record or a family-name string; a name resolves
+    only when its CATALOG rows give one constant ("gh_numeric" is "gh").
     """
     if isinstance(family, str):
         name = family.lower().replace("-", "_")
-        table = {"brownian": 2.0, "nig": 1.0, "cauchy": 1.0, "student_t": 1.0,
-                 "gh": 1.0, "gh_numeric": 1.0, "vg": None}
-        if name in table:
-            return table[name]
-        raise UnknownFamily(f"no catalog entry for {family!r}")
+        name = "gh" if name == "gh_numeric" else name
+        values = {idx for fam, _, idx in CATALOG if fam == name}
+        try:
+            # unknown names, several rows (stable1d) and "Y" (cgmy) all fail here
+            (value,) = values
+            return None if value == "none" else float(value)
+        except ValueError:
+            raise UnknownFamily(f"no catalog entry for {family!r}") from None
     if isinstance(family, BrownianParams):
         sigma = np.atleast_2d(np.asarray(family.sigma, dtype=float))
         if np.linalg.eigvalsh(0.5 * (sigma + sigma.T)).min() > 0:

@@ -293,7 +293,7 @@ def tabulated_density(x_points, f_values, y_hint=None, c_hint=None) -> LevyDensi
     if y_hint is None:
         lx, lf = branches[1.0]
         inner = slice(0, max(2, len(lx) // 4))
-        slope = np.polyfit(lx[inner], lf[inner], 1)[0]
+        slope = linear_fit(lx[inner], lf[inner])[0]
         y_hint = float(np.clip(-slope - 1.0, 0.0, 1.999))
         c_hint = float(np.exp(lf[0] + (1.0 + y_hint) * lx[0]))
     return LevyDensity(f=f, y_hint=y_hint, c_hint=c_hint, finite_variation=None,
@@ -541,7 +541,7 @@ def _check_as_integrable(split: DensitySplit) -> None:
     vals = np.abs(xs * split.f_as(xs)) + np.abs(xs * split.f_as(-xs))
     if np.all(vals < 1e-250):
         return
-    slope = np.polyfit(np.log(xs), np.log(np.maximum(vals, 1e-280)), 1)[0]
+    slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]
     if slope <= -0.98:
         raise DivergentIntegral(
             f"{split.name}: int |x f_as(x)| dx appears divergent near 0 "
@@ -556,17 +556,17 @@ def symbol_parts_from_density(split: DensitySplit, u: float,
     A_fs(u) >= 0 real; A_fas(u) purely imaginary.  Combined absolute
     tolerance 1e-9 (1 + u^2).  QUADPACK's error estimates are conservative
     on strongly singular integrands, so when they exceed the budget the
-    result is validated against a run at eps/2 with doubled depth and the
+    result is validated against a run at eps/2 with `refine` doubled and the
     observed difference taken as the error; QuadratureFailure only when that
-    too misses the budget. `refine` > 1 selects the deeper budgets directly.
+    too misses the budget.  `refine` > 1 starts from the deeper budgets.
     """
     u = float(u)
     if u == 0.0:
         return 0.0, 0.0j
     budget = 1e-9 * (1.0 + u * u)
     a_fs, a_fas, err_acc = _symbol_parts_once(split, u, eps, refine)
-    if err_acc > budget and refine == 1:
-        b_fs, b_fas, _ = _symbol_parts_once(split, u, eps / 2.0, 2)
+    if err_acc > budget:
+        b_fs, b_fas, _ = _symbol_parts_once(split, u, eps / 2.0, 2 * refine)
         err_acc = abs(a_fs - b_fs) + abs(a_fas - b_fas)
         a_fs, a_fas = b_fs, b_fas
     if err_acc > budget:
@@ -744,12 +744,9 @@ def gamma_index(density: LevyDensity) -> float:
         raise NotOneDimensional("gamma_index requires d = 1")
     split = split_symmetric(density)
     rs = np.geomspace(1e-6, 1e-1, 48)
-    vals = np.empty(len(rs))
-    acc = 2.0 * quad(lambda x: x * x * split.f_s(x), 0.0, rs[0], **_QUAD_KW)[0]
-    vals[0] = acc
-    for i in range(1, len(rs)):
-        acc += 2.0 * quad(lambda x: x * x * split.f_s(x), rs[i - 1], rs[i], **_QUAD_KW)[0]
-        vals[i] = acc
+    edges = np.concatenate(([0.0], rs))
+    vals = np.cumsum([2.0 * quad(lambda x: x * x * split.f_s(x), a, b, **_QUAD_KW)[0]
+                      for a, b in zip(edges[:-1], edges[1:])])
     if vals[-1] <= 0:
         return 0.0
     slope, _, r2 = linear_fit(np.log(rs), np.log(np.maximum(vals, 1e-300)))
@@ -797,6 +794,12 @@ def _ratio_trend(us, ratio, top_frac=0.25):
     return slope
 
 
+def _upper_bound(us, ratio, trend_tol: float) -> BoundEntry:
+    """Verdict on |part| <= C weight from ratio = |part|/weight: it must stop growing."""
+    slope = _ratio_trend(us, ratio)
+    return BoundEntry(True, bool(slope <= trend_tol), {"C": float(ratio.max()), "trend": slope})
+
+
 def verify_appendix_bounds(split: DensitySplit, Y: float, grid,
                            trend_tol: float = 0.05) -> BoundReport:
     """Check the four growth/lower-bound relations tying A_fs, A_fas to Y.
@@ -825,10 +828,7 @@ def verify_appendix_bounds(split: DensitySplit, Y: float, grid,
 
     parts = {}
     # a) upper bound on the symmetric part
-    ratio_a = a_fs / (1.0 + us**Y)
-    slope_a = _ratio_trend(us, ratio_a)
-    parts["a"] = BoundEntry(True, bool(slope_a <= trend_tol),
-                            {"C": float(ratio_a.max()), "trend": slope_a})
+    parts["a"] = _upper_bound(us, a_fs / (1.0 + us**Y), trend_tol)
 
     # b) Garding-type lower bound with Y' = Y/2
     ratio_b = a_fs / us**Y
@@ -850,10 +850,7 @@ def verify_appendix_bounds(split: DensitySplit, Y: float, grid,
     elif np.all(mag < 1e-250):
         parts["c"] = BoundEntry(True, True, {"C": 0.0}, "antisymmetric part vanishes")
     else:
-        ratio_c = mag / (1.0 + us ** max(1.0, Y))
-        slope_c = _ratio_trend(us, ratio_c)
-        parts["c"] = BoundEntry(True, bool(slope_c <= trend_tol),
-                                {"C": float(ratio_c.max()), "trend": slope_c})
+        parts["c"] = _upper_bound(us, mag / (1.0 + us ** max(1.0, Y)), trend_tol)
 
     # d) finite-variation drift bound
     if split.finite_variation:
@@ -862,10 +859,7 @@ def verify_appendix_bounds(split: DensitySplit, Y: float, grid,
         if np.all(mag_d < 1e-250):
             parts["d"] = BoundEntry(True, True, {"C": 0.0}, "no antisymmetric part")
         else:
-            ratio_d = mag_d / (1.0 + us**Y)
-            slope_d = _ratio_trend(us, ratio_d)
-            parts["d"] = BoundEntry(True, bool(slope_d <= trend_tol),
-                                    {"C": float(ratio_d.max()), "trend": slope_d})
+            parts["d"] = _upper_bound(us, mag_d / (1.0 + us**Y), trend_tol)
     else:
         parts["d"] = BoundEntry(False, True, {}, "paths not of finite variation")
 

@@ -6,7 +6,8 @@ grid the parabolic problem d_t u + A u = f decouples into scalar ODEs
 u_hat'(t, xi) = -A(xi) u_hat(t, xi) + f_hat(t, xi); the Galerkin system in
 the Fourier basis is exactly diagonal and no operator matrices are ever
 assembled.  Signs follow conventions.py: the inverse prefactor is imported
-from there, the propagator e^{-tau A(xi)} is written out here.
+from there, the propagator e^{-tau A(xi)} is written out here, and mu_hat_t
+is Symbol.char_fn on the grid.
 """
 
 from __future__ import annotations
@@ -141,10 +142,9 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     return float(np.sum(np.abs(field.values) ** 2 * w) * field.grid.dxi**field.grid.d)
 
 
-def symbol_on_grid(symbol: Symbol, grid: FrequencyGrid, sign: float = 1.0) -> np.ndarray:
-    """A(sign * xi) at every mode, shaped like the grid."""
-    pts = sign * grid.points()
-    return symbol(pts if grid.d > 1 else pts[:, 0]).reshape(grid.shape)
+def symbol_on_grid(symbol: Symbol, grid: FrequencyGrid) -> np.ndarray:
+    """A(xi) at every mode, shaped like the grid."""
+    return SpectralField.from_function(grid, symbol).values
 
 
 def re_a_weighted_norm(field: SpectralField, symbol: Symbol) -> float:
@@ -196,7 +196,7 @@ class FormReport:
 
 
 def _random_band_field(grid: FrequencyGrid, rng) -> SpectralField:
-    radii = np.linalg.norm(grid.points(), axis=1).reshape(grid.shape)
+    radii = grid.radii()
     band = rng.uniform(0.25, 1.0) * grid.Xi
     coeffs = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     coeffs[radii > band] = 0.0
@@ -360,12 +360,16 @@ def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
 
 def _tail_estimate(grid: FrequencyGrid, vals: np.ndarray) -> float:
     """Integral of |vals| over the outer 10% shell: truncation-tail proxy."""
-    radii = np.linalg.norm(grid.points(), axis=1).reshape(grid.shape)
-    shell = radii >= 0.9 * grid.Xi
+    shell = grid.radii() >= 0.9 * grid.Xi
     return float(np.sum(np.abs(vals[shell])) * grid.dxi**grid.d)
 
 
 def _invert_at(grid: FrequencyGrid, vals: np.ndarray, x_points) -> np.ndarray:
+    """(2 pi)^{-d} sum e^{-i<xi,x>} vals(xi) dxi^d at x_points; raises
+    TailTooFat when the outer-shell mass of vals exceeds 1e-8."""
+    tail = _tail_estimate(grid, vals)
+    if tail > 1e-8:
+        raise TailTooFat(f"Fourier tail {tail:.3g} > 1e-8 on the outer shell; enlarge Xi")
     pts = grid.points()
     x = np.atleast_2d(np.asarray(x_points, dtype=float))
     if x.shape[1] != grid.d:
@@ -386,29 +390,19 @@ def conditional_expectation(symbol: Symbol, g_hat: SpectralField, tau: float,
     if tau < 0:
         raise InvalidParams("tau must be nonnegative")
     grid = g_hat.grid
-    a = symbol_on_grid(symbol, grid)
-    vals = np.exp(-tau * a) * g_hat.values
-    tail = _tail_estimate(grid, vals)
-    if tail > 1e-8:
-        raise TailTooFat(f"boundary tail {tail:.3g} > 1e-8; enlarge Xi")
+    vals = np.exp(-tau * symbol_on_grid(symbol, grid)) * g_hat.values
     out = _invert_at(grid, vals, x_points)
     return out.real if g_hat.is_conj_symmetric(1e-9) else out
 
 
 def char_fn_field(symbol: Symbol, t: float, grid: FrequencyGrid) -> SpectralField:
-    """mu_hat_t sampled on the grid."""
-    return SpectralField(grid, np.exp(-t * symbol_on_grid(symbol, grid, -1.0)))
+    """mu_hat_t = Symbol.char_fn(t, .) sampled on the grid (InvalidParams for t <= 0)."""
+    return SpectralField.from_function(grid, lambda xi: symbol.char_fn(t, xi))
 
 
 def density(symbol: Symbol, t: float, x_points, grid: FrequencyGrid) -> np.ndarray:
     """p_t(x) = (2 pi)^{-d} sum e^{-i<xi,x>} mu_hat_t(xi) dxi^d at x_points."""
-    if t <= 0:
-        raise InvalidParams("t must be positive")
-    phi = char_fn_field(symbol, t, grid)
-    tail = _tail_estimate(grid, phi.values)
-    if tail > 1e-8:
-        raise TailTooFat(f"characteristic tail {tail:.3g} > 1e-8; enlarge Xi")
-    return _invert_at(grid, phi.values, x_points).real
+    return _invert_at(grid, char_fn_field(symbol, t, grid).values, x_points).real
 
 
 def density_grid(symbol: Symbol, t: float, grid: FrequencyGrid):
@@ -417,17 +411,11 @@ def density_grid(symbol: Symbol, t: float, grid: FrequencyGrid):
     With xi_k = (k - N/2) dxi and x_j = (j - N/2) dx, dx dxi = 2 pi / N,
     the inversion sum is (-1)^j FFT[(-1)^k phi_k]_j (dxi/2pi) per axis.
     """
-    phi = char_fn_field(symbol, t, grid)
-    n = grid.N
-    signs = (-1.0) ** np.arange(n)
-    vals = phi.values
-    if grid.d == 1:
-        work = np.fft.fft(vals * signs)
-        p = (signs * work).real * grid.dxi / (2.0 * np.pi)
-    else:
-        sgn2 = np.outer(signs, signs)
-        work = np.fft.fft2(vals * sgn2)
-        p = (sgn2 * work).real * (grid.dxi / (2.0 * np.pi)) ** 2
+    signs = (-1.0) ** np.arange(grid.N)
+    if grid.d == 2:
+        signs = np.outer(signs, signs)
+    work = np.fft.fftn(char_fn_field(symbol, t, grid).values * signs)
+    p = (signs * work).real * grid.dxi**grid.d / (2.0 * np.pi) ** grid.d
     return grid.x_axis(), p
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -198,16 +198,12 @@ class Symbol:
     params: object | None
     fn: Callable[[np.ndarray], np.ndarray]
     eval_mode: str = "closed-form"  # or "quadrature"
-    triplet: LevyTriplet | None = None
     density: object | None = None  # Levy density backing this symbol, if any
 
     def __call__(self, xi):
         arr = np.asarray(xi, dtype=float)
         scalar = arr.ndim == 0 or (self.d > 1 and arr.ndim == 1)
-        if self.d == 1:
-            pts = arr.reshape(-1, 1)
-        else:
-            pts = arr.reshape(-1, self.d)
+        pts = arr.reshape(-1, self.d)
         if not np.all(np.isfinite(pts)):
             raise InvalidParams("xi must be finite")
         out = np.asarray(self.fn(pts), dtype=complex)
@@ -226,9 +222,10 @@ class Symbol:
     @cached_property
     def quadratic_bound_constant(self) -> float:
         """C with |A(xi)| <= C (1+|xi|)^2, fitted once on |xi| <= 1e6 and frozen."""
+        from .indices import GridSpec
         r = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 512)))
         ratios = []
-        for e in _unit_directions(self.d, 8):
+        for e in GridSpec(n_directions=8).directions(self.d):
             xi = np.outer(r, e)
             vals = self(xi if self.d > 1 else xi[:, 0])
             ratios.append(np.abs(vals) / (1.0 + r) ** 2)
@@ -246,17 +243,6 @@ class Symbol:
             eval_mode="quadrature" if "quadrature" in (self.eval_mode, other.eval_mode)
             else "closed-form",
         )
-
-
-def _unit_directions(d: int, n: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        ang = 2.0 * np.pi * np.arange(n) / n
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    rng = np.random.default_rng(1729)
-    v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def symbol_from_callable(fn, d: int = 1, family: str = "custom",
@@ -374,8 +360,7 @@ def make_symbol(params: FamilyParams, d: int | None = None) -> Symbol:
         b = _as_vector(params.b, d, "b")
         sigma = _as_matrix(params.sigma, d, "sigma")
         _check_symmetric_psd(sigma, "sigma")
-        sym = Symbol(d, "brownian", params, _brownian_fn(sigma, b),
-                     triplet=LevyTriplet(d, b, sigma))
+        sym = Symbol(d, "brownian", params, _brownian_fn(sigma, b))
     elif isinstance(params, NIGParams):
         beta = np.atleast_1d(np.asarray(params.beta, dtype=float))
         d = d or len(beta)
@@ -458,11 +443,10 @@ def check_semistable_scaling(symbol: Symbol, a: float, b: float, c, grid) -> flo
     if symbol.d == 1:
         pts = pts.reshape(-1)
         cu = np.asarray(c, dtype=float) * pts
-        res = a * symbol(pts) - symbol(b * pts) - 1j * cu
     else:
         pts = pts.reshape(-1, symbol.d)
         cu = pts @ _as_vector(c, symbol.d, "c")
-        res = a * symbol(pts) - symbol(b * pts) - 1j * cu
+    res = a * symbol(pts) - symbol(b * pts) - 1j * cu
     return float(np.abs(res).max())
 
 

@@ -63,6 +63,23 @@ def test_config_error_exit_2(cgmy_cfg, tmp_path):
     assert "Y < 2" in res.stderr
 
 
+@pytest.mark.parametrize("task,override", [
+    ("price", "freq.Xi=big"),
+    ("price", "process.c=abc"),
+    ("price", "price.x_points=0,abc"),
+    ("index", "grid.points_per_decade=x"),
+    ("inequalities", "ineq.alpha=one"),
+])
+def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"process.family": "cauchy", "process.c": 1.0}))
+    code = cli.main([task, "--config", str(cfg), "--set", override,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and override.split("=")[0] in err
+
+
 def test_missing_family_exit_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{}")
@@ -169,12 +186,20 @@ def test_catalog_task(tmp_path):
     res = run_cli("catalog", "--out", str(out))
     assert res.returncode == 0
     doc = json.loads((out / "catalog.json").read_text())
-    table = {(row["family"], row["condition"]): row["sobolev_index"]
-             for row in doc["result"]["catalog"]}
-    assert table[("brownian", "positive definite sigma")] == "2"
-    assert table[("gh", "expansion C1/x^2 + C2/|x| + C3/x")] == "1"
-    assert table[("cgmy", "0 < Y < 2")] == "Y"
-    assert table[("vg", "CGMY with Y = 0")] == "none"
+    rows = [(row["family"], row["condition"], row["sobolev_index"])
+            for row in doc["result"]["catalog"]]
+    assert rows == [
+        ("brownian", "positive definite sigma", "2"),
+        ("nig", "alpha^2 > <beta, Delta beta>", "1"),
+        ("cauchy", "c > 0", "1"),
+        ("student_t", "f > 0", "1"),
+        ("gh", "expansion C1/x^2 + C2/|x| + C3/x", "1"),
+        ("cgmy", "0 < Y < 2", "Y"),
+        ("vg", "CGMY with Y = 0", "none"),
+        ("stable1d", "alpha != 1, strict (beta=0, tau=0 if alpha<1)", "alpha"),
+        ("stable1d", "alpha = 1 strict (beta = 0)", "1"),
+        ("stable1d", "alpha = 1, beta != 0", "none"),
+    ]
 
 
 def test_gh_family_via_density_route(tmp_path):

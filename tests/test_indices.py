@@ -9,6 +9,7 @@ from levysobolev import measures as M
 from levysobolev import symbols as S
 from levysobolev.errors import (
     DegenerateSymbol,
+    FitUnstable,
     InvalidParams,
     MissingField,
     NonpositiveRealPart,
@@ -261,6 +262,32 @@ def test_analytic_index_values():
 def test_analytic_index_unknown():
     with pytest.raises(UnknownFamily):
         I.analytic_index("meixner")
+
+
+def test_analytic_index_names_read_the_catalog():
+    assert I.analytic_index("Brownian") == 2.0
+    for name in ("nig", "cauchy", "student-t", "gh", "gh_numeric"):
+        assert I.analytic_index(name) == 1.0
+    assert I.analytic_index("vg") is None
+    # the index of these depends on the parameters
+    for name in ("cgmy", "stable1d"):
+        with pytest.raises(UnknownFamily):
+            I.analytic_index(name)
+
+
+def test_unstable_jump_index_fit_is_recorded(cgmy15, monkeypatch):
+    full = I.sobolev_index(cgmy15).to_record()
+
+    def unstable(density):
+        raise FitUnstable("local power fit R^2 = 0.5")
+
+    monkeypatch.setattr(M, "bg_index", unstable)
+    rec = I.sobolev_index(cgmy15).to_record()
+    assert rec["beta"] is None and rec["gamma"] is None
+    assert rec["diagnostics"].pop("jump_indices") == "local power fit R^2 = 0.5"
+    for key in ("beta", "gamma"):
+        del full[key], rec[key]
+    assert rec == full
 
 
 def test_catalog_recovery_matches_analytic():

@@ -194,6 +194,17 @@ def test_quadrature_refinement_stable():
         assert abs(a1 - a2) <= 1e-8 * abs(a1)
 
 
+def test_refined_call_validates_against_a_deeper_run():
+    # this table's error estimate at u = 3 and refine = 2 (3.3e-8) misses the
+    # 1e-8 budget; the eps/4, refine = 4 cross-check shows the value is good
+    xs = np.concatenate([-np.geomspace(1e-7, 20, 60)[::-1], np.geomspace(1e-7, 20, 60)])
+    fs = np.exp(-2 * np.abs(xs)) / np.abs(xs) ** 2.2
+    sp = M.split_symmetric(M.tabulated_density(xs, fs))
+    a1, b1 = M.symbol_parts_from_density(sp, 3.0)
+    a2, b2 = M.symbol_parts_from_density(sp, 3.0, eps=M.EPS_INNER / 2, refine=2)
+    assert abs(a1 - a2) + abs(b1 - b2) <= 1e-8
+
+
 def test_a_fs_nonnegative():
     for dens in (M.cgmy_density(1.0, 2.0, 4.0, 1.2), M.power_law_density(0.5, 0.7)):
         sp = M.split_symmetric(dens)

@@ -294,11 +294,13 @@ def test_cauchy_convolution_vs_quadrature(cauchy):
         assert v == pytest.approx(oracle(x), abs=1e-6)
 
 
-def test_tail_too_fat_reported(brownian):
+def test_tail_too_fat_reported(brownian, cauchy):
     small = SP.FrequencyGrid(1, 64, 2.0)
     wide = SP.SpectralField.from_function(small, lambda xi: 1.0 / (1.0 + xi**2))
     with pytest.raises(TailTooFat):
         SP.conditional_expectation(brownian, wide, 0.1, [0.0])
+    with pytest.raises(TailTooFat):
+        SP.density(cauchy, 1.0, [0.0], small)
 
 
 def test_density_cauchy_at_zero(cauchy):
@@ -328,6 +330,36 @@ def test_density_grid_matches_direct(cauchy):
     sample = slice(200, 312, 7)
     direct = SP.density(cauchy, 1.0, x[sample], g)
     assert np.abs(p[sample] - direct).max() <= 1e-12
+    # 2-d: p[i, j] is the density at (x_i, x_j)
+    cauchy2 = S.make_symbol(S.CauchyParams(c=1.0, gamma=(0.0, 0.0)))
+    g2 = SP.FrequencyGrid(2, 64, 40.0)
+    x, p = SP.density_grid(cauchy2, 1.0, g2)
+    idx = np.arange(20, 44, 5)
+    pts = np.array([[x[i], x[j]] for i in idx for j in idx])
+    direct = SP.density(cauchy2, 1.0, pts, g2)
+    assert np.abs(p[np.ix_(idx, idx)].ravel() - direct).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_nonpositive_time_raises_invalid_params(cauchy, t):
+    # all three go through Symbol.char_fn, which owns the t > 0 check
+    g = SP.FrequencyGrid(1, 512, 24.0)
+    with pytest.raises(InvalidParams, match="t must be positive"):
+        SP.density_grid(cauchy, t, g)
+    with pytest.raises(InvalidParams, match="t must be positive"):
+        SP.density_mass(cauchy, t, g)
+    with pytest.raises(InvalidParams, match="t must be positive"):
+        SP.density(cauchy, t, [0.0], g)
+
+
+def test_char_fn_field_is_symbol_char_fn_on_the_modes(nig_skew):
+    g = SP.FrequencyGrid(1, 256, 32.0)
+    phi = SP.char_fn_field(nig_skew, 0.7, g)
+    assert np.array_equal(phi.values, nig_skew.char_fn(0.7, g.axis()))
+    nig2 = S.make_symbol(S.NIGParams(alpha=8.0, beta=(1.0, 0.5), delta=1.0, mu=(0.0, 0.0)))
+    g2 = SP.FrequencyGrid(2, 16, 8.0)
+    phi2 = SP.char_fn_field(nig2, 0.7, g2)
+    assert np.array_equal(phi2.values.ravel(), nig2.char_fn(0.7, g2.points()))
 
 
 def test_nig_density_against_monte_carlo(nig_sym):
