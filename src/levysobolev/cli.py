@@ -7,8 +7,10 @@ Tasks: symbol-eval | index | inequalities | evolve | price | density | catalog.
 The config is a single flat JSON object; --set overrides file keys; --seed
 overrides the `seed` key.  Exit codes: 0 success, 1 numerical failure
 (quadrature/fit errors, surfaced with the failing operation), 2 config
-error, including a value that does not parse as its key's type (the key
-is named on stderr).  Identical config + seed produces byte-identical
+error, with the key named on stderr.  Config errors include a value that
+does not parse as its key's type, a fractional value for an integer key
+(4096.0 reads as 4096, 64.9 is refused) and a point count (x_count,
+u_count) below 1.  Identical config + seed produces byte-identical
 outputs: no timestamps, sorted keys, shortest-roundtrip float formatting.
 
 Config keys (defaults in _DEFAULTS below, echoed into every output):
@@ -78,6 +80,8 @@ def _stage(msg: str) -> None:
 
 
 def _convert(key: str, value, typ):
+    if typ is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key}: {value!r} is not an integer")
     try:
         return typ(value)
     except (TypeError, ValueError) as exc:
@@ -88,6 +92,13 @@ def _cfg(cfg: dict, key: str):
     """The value of `key`, converted to the type of its _DEFAULTS entry."""
     default = _DEFAULTS[key]
     return _convert(key, cfg.get(key, default), type(default))
+
+
+def _count(cfg: dict, key: str) -> int:
+    n = _cfg(cfg, key)
+    if n < 1:
+        raise ConfigError(f"{key}: {n} is not a positive count")
+    return n
 
 
 def load_config(path: str) -> dict:
@@ -195,7 +206,7 @@ def _x_points(cfg: dict, prefix: str) -> np.ndarray:
         return np.array([_convert(f"{prefix}.x_points", v, float)
                          for v in str(raw).split(",")])
     return np.linspace(_cfg(cfg, f"{prefix}.x_min"), _cfg(cfg, f"{prefix}.x_max"),
-                       _cfg(cfg, f"{prefix}.x_count"))
+                       _count(cfg, f"{prefix}.x_count"))
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +261,7 @@ def _task_symbol_eval(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     us = np.geomspace(_cfg(cfg, "eval.u_min"), _cfg(cfg, "eval.u_max"),
-                      _cfg(cfg, "eval.u_count"))
+                      _count(cfg, "eval.u_count"))
     us = np.concatenate([-us[::-1], [0.0], us])
     vals = np.array([sym(float(u)) for u in us])
     _stage(f"evaluated symbol at {len(us)} points")

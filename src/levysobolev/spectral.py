@@ -8,6 +8,14 @@ the Fourier basis is exactly diagonal and no operator matrices are ever
 assembled.  Signs follow conventions.py: the inverse prefactor is imported
 from there, the propagator e^{-tau A(xi)} is written out here, and mu_hat_t
 is Symbol.char_fn on the grid.
+
+Prices and densities at given x points come from one inversion routine,
+_invert_at, with two paths.  Equispaced x in d = 1 (M >= 2 points within
+4 eps max|x| of x_0 + j h, h != 0, which np.linspace meets) go through a
+chirp-z transform in O((N+M) log(N+M)) time and O(N+M) memory; any other
+x is summed densely in blocks of at most 2^20 phase entries (or one row of
+N^d when that is longer).  density_grid inverts onto the natural spatial
+grid with one FFT.
 """
 
 from __future__ import annotations
@@ -364,19 +372,88 @@ def _tail_estimate(grid: FrequencyGrid, vals: np.ndarray) -> float:
     return float(np.sum(np.abs(vals[shell])) * grid.dxi**grid.d)
 
 
+# Phase entries exp(-i<x, xi>) held at once by the dense inversion path.
+_PHASE_BLOCK = 2**20
+
+
 def _invert_at(grid: FrequencyGrid, vals: np.ndarray, x_points) -> np.ndarray:
     """(2 pi)^{-d} sum e^{-i<xi,x>} vals(xi) dxi^d at x_points; raises
-    TailTooFat when the outer-shell mass of vals exceeds 1e-8."""
+    TailTooFat when the outer-shell mass of vals exceeds 1e-8.
+
+    Two paths compute the same sum.  In d = 1 with M >= 2 equispaced points
+    (x_j = x_0 + j h, h != 0, to within 4 eps max|x|, as np.linspace gives)
+    it is a chirp-z transform: O((N+M) log(N+M)) time, O(N+M) memory.  Any
+    other x (scattered, repeated, a single point, d = 2) takes the dense sum
+    in row blocks of at most _PHASE_BLOCK phase entries, or one row when a
+    row is longer, so memory stays O(N^d + _PHASE_BLOCK).
+    """
     tail = _tail_estimate(grid, vals)
     if tail > 1e-8:
         raise TailTooFat(f"Fourier tail {tail:.3g} > 1e-8 on the outer shell; enlarge Xi")
-    pts = grid.points()
     x = np.atleast_2d(np.asarray(x_points, dtype=float))
     if x.shape[1] != grid.d:
         x = x.reshape(-1, grid.d)
-    phases = np.exp(-1j * (x @ pts.T))
-    out = phases @ (vals.reshape(-1) * grid.dxi**grid.d)
+    w = vals.reshape(-1) * grid.dxi**grid.d
+    if grid.d == 1 and _equispaced(x[:, 0]):
+        out = _chirp_z(grid, w, x[:, 0])
+    else:
+        pts = grid.points()
+        rows = max(1, _PHASE_BLOCK // len(pts))
+        out = np.empty(len(x), dtype=complex)
+        for i in range(0, len(x), rows):
+            out[i:i + rows] = np.exp(-1j * (x[i:i + rows] @ pts.T)) @ w
     return inv_scale(grid.d) * out
+
+
+def _equispaced(x: np.ndarray) -> bool:
+    if len(x) < 2:
+        return False
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    dev = np.abs(x - (x[0] + h * np.arange(len(x)))).max()
+    return bool(h != 0 and dev <= 4 * np.finfo(float).eps * np.abs(x).max())
+
+
+def _chirp_z(grid: FrequencyGrid, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k e^{-i x_j xi_k} w_k for equispaced x (Bluestein's algorithm).
+
+    Counting modes from xi = 0, xi_k = k dxi with k = -N/2..N/2-1, and with
+    x_j = x_0 + j h and jk = (j^2 + k^2 - (j-k)^2)/2,
+        e^{-i x_j xi_k} = e^{-i x_0 dxi k} c_j c_k / c_{j-k},
+    c_t = e^{-i h dxi t^2 / 2}; the sum over k is one FFT convolution of
+    length L >= N + M - 1.  The phase x_0 dxi k is small where the weights
+    of a decaying transform are large, which keeps the rounding at the
+    dense sum's level.
+    """
+    n, m = len(w), len(x)
+    h = (x[-1] - x[0]) / (m - 1)
+    k = np.arange(n) - n // 2
+    c = _chirp(h * grid.dxi / (4.0 * np.pi), np.arange(-(n // 2), m + n // 2))
+    a = w * np.exp(-1j * x[0] * grid.dxi * k) * c[:n]
+    L = 1 << (n + m - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(np.conj(c[1:]), L))
+    return c[n // 2:n // 2 + m] * conv[n - 1:n - 1 + m]
+
+
+def _split(a):
+    """Veltkamp split a = hi + lo, hi with 26 significant bits."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _chirp(s: float, m: np.ndarray) -> np.ndarray:
+    """e^{-2 pi i s m^2} at integers m, with the whole cycles dropped exactly.
+
+    s m^2 reaches 1e4-1e6 cycles when M >> N or N >> M, where a float64
+    product keeps only 1e-12-1e-10 of a cycle; Dekker's two-product recovers
+    its rounding error, so the fractional cycle is good to a few ulps before
+    the exp.
+    """
+    q = np.square(m, dtype=float)
+    p = s * q
+    (s1, s2), (q1, q2) = _split(s), _split(q)
+    err = ((s1 * q1 - p) + s1 * q2 + s2 * q1) + s2 * q2
+    return np.exp(-2j * np.pi * ((p - np.round(p)) + err))
 
 
 def conditional_expectation(symbol: Symbol, g_hat: SpectralField, tau: float,

@@ -80,6 +80,40 @@ def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
     assert "config error" in err and override.split("=")[0] in err
 
 
+@pytest.mark.parametrize("task,override", [
+    ("evolve", "evolve.K=2.7"),
+    ("evolve", "freq.N=64.9"),
+    ("price", "price.x_count=40.5"),
+    ("price", "price.x_count=-3"),
+    ("price", "price.x_count=0"),
+    ("density", "density.x_count=-3"),
+    ("symbol-eval", "eval.u_count=-3"),
+])
+def test_bad_integer_value_exit_2(tmp_path, capsys, task, override):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"process.family": "cauchy", "process.c": 1.0,
+                               "freq.N": 64, "freq.Xi": 16.0}))
+    out = tmp_path / "o"
+    code = cli.main([task, "--config", str(cfg), "--set", override, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and override.split("=")[0] in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_reads_as_integer(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"process.family": "cauchy", "process.c": 1.0,
+                               "freq.N": 64.0, "freq.Xi": 16.0, "evolve.K": 4.0}))
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "evolve.json").read_text())
+    assert len(doc["result"]["times"]) == 5
+    rows = [ln for ln in (out / "evolve.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == 5 * 64
+
+
 def test_missing_family_exit_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{}")

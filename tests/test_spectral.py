@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -398,3 +402,120 @@ def test_d2_density_brownian():
     val = SP.density(sym, 1.0, [[0.0, 0.0]], g)[0]
     assert val == pytest.approx(1.0 / (2 * np.pi), abs=1e-8)
     assert SP.density_mass(sym, 1.0, g) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the inversion routine: chirp-z and chunked dense paths
+# ---------------------------------------------------------------------------
+
+
+def _dense_reference(grid, vals, x):
+    """The unchunked sum (2 pi)^{-d} exp(-i x . xi) @ (vals dxi^d)."""
+    x = np.asarray(x, dtype=float).reshape(-1, grid.d)
+    w = vals.reshape(-1) * grid.dxi**grid.d
+    return (np.exp(-1j * (x @ grid.points().T)) @ w) / (2 * np.pi) ** grid.d
+
+
+def _decaying_noise(grid, rng):
+    # complex, not conjugate-symmetric, and negligible on the outer shell
+    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return vals * np.exp(-(6.0 * grid.radii() / grid.Xi) ** 2)
+
+
+@pytest.fixture()
+def path_calls(monkeypatch):
+    calls = []
+    chirp_z = SP._chirp_z
+    monkeypatch.setattr(SP, "_chirp_z", lambda *a: calls.append(a) or chirp_z(*a))
+    return calls
+
+
+# Agreement of two float64 sums is limited by the rounding of the phases
+# x xi, about eps max|x| Xi per term; max|x| Xi <= 1280 here.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed,N,M,x0,x1", [
+    (1, 8, 5000, -3.0, 4.0),        # M >> N: 2.6e4 chirp cycles
+    (2, 16, 2, 5.0, -5.0),          # decreasing
+    (3, 64, 4999, 10.0, -10.0),
+    (4, 512, 3001, 2.5, 9.0),       # offset x_0, x never reaches 0
+    (5, 2048, 2047, -5.0, 5.0),
+    (6, 4096, 41, -5.0, 5.0),       # the CLI default
+    (7, 2**14, 2, -10.0, 10.0),     # N >> M
+    (8, 2**14, 255, 7.0, -2.0),
+    (9, 2**14, 3, -20.0, -19.0),
+])
+def test_chirp_z_matches_dense_reference(path_calls, seed, N, M, x0, x1):
+    rng = np.random.default_rng(seed)
+    grid = SP.FrequencyGrid(1, N, float(rng.uniform(8.0, 64.0)))
+    vals = _decaying_noise(grid, rng)
+    x = np.linspace(x0, x1, M)
+    out = SP._invert_at(grid, vals, x)
+    assert len(path_calls) == 1
+    scale = np.abs(vals).sum() * grid.dxi / (2 * np.pi)
+    assert np.abs(out - _dense_reference(grid, vals, x)).max() <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d,x", [
+    (1, np.array([-1.0, 0.0, 0.7, 2.0, 2.5])),      # not equispaced
+    (1, np.array([0.3])),                          # M = 1
+    (1, np.array([1.5, 1.5, 1.5])),                # repeated: h = 0
+    (1, np.linspace(-5, 5, 600) ** 3),             # smooth but not uniform
+    (2, np.array([[0.0, 0.0], [1.0, -0.5], [2.0, 3.0]])),
+    (2, np.column_stack([np.linspace(-3, 3, 300)] * 2)),
+])
+def test_dense_path_matches_reference(path_calls, d, x):
+    rng = np.random.default_rng(11)
+    grid = SP.FrequencyGrid(d, 1024 if d == 1 else 64, 24.0)
+    vals = _decaying_noise(grid, rng)
+    out = SP._invert_at(grid, vals, x)
+    assert not path_calls
+    ref = _dense_reference(grid, vals, x)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_path_blocks_rows(monkeypatch):
+    # more rows than one block holds: the blocks must tile the output
+    rng = np.random.default_rng(12)
+    grid = SP.FrequencyGrid(1, 256, 24.0)
+    vals = _decaying_noise(grid, rng)
+    x = rng.uniform(-5, 5, 1000)
+    monkeypatch.setattr(SP, "_PHASE_BLOCK", 3 * 256 + 1)
+    out = SP._invert_at(grid, vals, x)
+    ref = _dense_reference(grid, vals, x)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tail_too_fat_on_both_paths(path_calls):
+    small = SP.FrequencyGrid(1, 64, 2.0)
+    flat = np.ones(small.shape, dtype=complex)
+    for x in (np.linspace(-1, 1, 11), np.array([0.0, 0.4, 0.5])):
+        with pytest.raises(TailTooFat):
+            SP._invert_at(small, flat, x)
+    assert not path_calls   # the tail check runs before either path
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inversion_memory_is_bounded(nig_skew):
+    # the unchunked phase matrix at N = M = 4096 alone is 268 MB
+    grid = SP.FrequencyGrid(1, 4096, 64.0)
+    phi = SP.char_fn_field(nig_skew, 1.0, grid).values
+    x = np.linspace(-5, 5, 4096)
+    scattered = x + np.linspace(0, 1e-3, 4096) ** 2
+    assert _peak_bytes(lambda: SP._invert_at(grid, phi, x)) < 4e6
+    assert _peak_bytes(lambda: SP._invert_at(grid, phi, scattered)) < 64e6
+
+
+def test_import_leaves_scipy_signal_out():
+    code = "import sys, levysobolev; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
