@@ -9,17 +9,18 @@ overrides the `seed` key.  Exit codes: 0 success, 1 numerical failure
 (quadrature/fit errors, surfaced with the failing operation), 2 config
 error, with the key named on stderr.  Config errors include a value that
 does not parse as its key's type, a fractional value for an integer key
-(4096.0 reads as 4096, 64.9 is refused) and a point count (x_count,
-u_count) below 1.  Identical config + seed produces byte-identical
-outputs: no timestamps, sorted keys, shortest-roundtrip float formatting.
+(4096.0 reads as 4096, 64.9 is refused), a count below 1, a value out of
+range (evolve.T, density.t, payoff.width > 0; price.tau, payoff.order >= 0;
+ineq.alpha in (0, 2]), an unknown evolve.scheme, an unknown or missing
+process.* key and an unreadable tabulated file.  Identical config + seed
+produces byte-identical outputs: no timestamps, sorted keys,
+shortest-roundtrip float formatting.
 
 Config keys (defaults in _DEFAULTS below, echoed into every output):
 
-  process.family        brownian | nig | cauchy | student_t | cgmy | vg |
-                        stable1d | gh | powerlaw | tabulated
-  process.<param>       family parameters, e.g. process.C, process.G ...
-                        (gh: C1, C2, C3, damping; powerlaw: coef, Y;
-                        tabulated: path to a CSV of x,f rows)
+  process.family        a key of symbols.FAMILIES, or vg (cgmy with Y = 0)
+  process.<param>       its params dataclass fields, e.g. process.C; tabulated:
+                        path of a CSV of x,f rows; echoed as result.family
   grid.r_min/r_max/points_per_decade/directions    radial fit grid
   freq.N/Xi             frequency grid (d = 1 for CLI tasks)
   index.tol             agreement tolerance for the Sobolev index
@@ -35,12 +36,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import measures, spectral
+from . import spectral
 from .errors import ConfigError, InvalidParams, IoError, LevySobolevError
 from .indices import CATALOG, GridSpec, cross_check, sobolev_index
 from .symbols import Symbol, make_symbol, params_from_record, params_to_record
@@ -101,6 +103,13 @@ def _count(cfg: dict, key: str) -> int:
     return n
 
 
+def _in_range(key: str, value, lo: float, hi: float = math.inf, lo_open: bool = True):
+    """`value` if it is finite and in (lo, hi], or in [lo, hi] with lo_open=False."""
+    if math.isfinite(value) and (lo < value if lo_open else lo <= value) and value <= hi:
+        return value
+    raise ConfigError(f"{key}: {value!r} is outside {'(' if lo_open else '['}{lo:g}, {hi:g}]")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -130,38 +139,16 @@ def apply_overrides(cfg: dict, pairs) -> dict:
 # --------------------------------------------------------------------------
 
 def build_symbol(cfg: dict) -> tuple[Symbol, dict]:
+    """The symbol of the process.* keys and its record, echoed as result.family."""
     rec = {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("process.")}
-    fam = str(rec.get("family", "")).lower().replace("-", "_")
-    if not fam:
-        raise ConfigError("config needs process.family")
     try:
-        if fam == "gh":
-            dens = measures.gh_expansion_density(
-                C1=float(rec.get("C1", 1.0)), C2=float(rec.get("C2", 0.0)),
-                C3=float(rec.get("C3", 0.0)), damping=float(rec.get("damping", 1.0)))
-            return measures.density_symbol(dens), {"family": "gh", **{
-                k: rec.get(k) for k in ("C1", "C2", "C3", "damping") if k in rec}}
-        if fam == "powerlaw":
-            dens = measures.power_law_density(float(rec.get("coef", 1.0)),
-                                              float(rec["Y"]))
-            return measures.density_symbol(dens, b=0.0), {"family": "powerlaw", **rec}
-        if fam == "tabulated":
-            path = rec.get("path")
-            if not path or not os.path.exists(path):
-                raise ConfigError(f"tabulated density file not found: {path!r}")
-            data = np.loadtxt(path, delimiter=",", comments="#")
-            dens = measures.tabulated_density(data[:, 0], data[:, 1])
-            return measures.density_symbol(dens), {"family": "tabulated", "path": path}
         params = params_from_record(rec)
+    except InvalidParams as exc:
+        raise ConfigError(f"process.{exc}") from exc
+    try:
         return make_symbol(params), params_to_record(params)
-    except KeyError as exc:
-        raise ConfigError(f"missing parameter {exc} for family {fam!r}") from exc
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
-        given = ", ".join(f"process.{k}={v!r}" for k, v in rec.items()
-                          if k != "family" and isinstance(v, str))
-        raise ConfigError(f"cannot read process parameters ({given}): {exc}") from exc
 
 
 def _grid_spec(cfg: dict) -> GridSpec:
@@ -185,14 +172,14 @@ def _freq_grid(cfg: dict) -> spectral.FrequencyGrid:
 
 def _payoff_hat(cfg: dict, grid: spectral.FrequencyGrid) -> spectral.SpectralField:
     kind = _cfg(cfg, "payoff.kind").lower()
-    w = _cfg(cfg, "payoff.width")
+    w = _in_range("payoff.width", _cfg(cfg, "payoff.width"), 0.0)
     c = _cfg(cfg, "payoff.center")
+    n = _in_range("payoff.order", _cfg(cfg, "payoff.order"), 0, lo_open=False)
     if kind == "gaussian":
         # g(x) = exp(-(x-c)^2/(2 w^2)):  g_hat(xi) = w sqrt(2 pi) e^{i xi c - w^2 xi^2/2}
         fn = lambda xi: w * np.sqrt(2 * np.pi) * np.exp(1j * xi * c - 0.5 * (w * xi) ** 2)
     elif kind == "hermite":
         from scipy.special import eval_hermite
-        n = _cfg(cfg, "payoff.order")
         # h_n(x) = H_n(x) e^{-x^2/2} transforms to sqrt(2 pi) i^n h_n(xi)
         fn = lambda xi: np.sqrt(2 * np.pi) * (1j ** n) * eval_hermite(n, xi) * np.exp(-xi**2 / 2)
     else:
@@ -296,9 +283,12 @@ def _task_index(cfg, out_dir):
 
 
 def _task_inequalities(cfg, out_dir):
+    alpha = cfg.get("ineq.alpha")
+    if alpha is not None:
+        alpha = _in_range("ineq.alpha", _convert("ineq.alpha", alpha, float), 0.0, 2.0)
+    trials = _count(cfg, "ineq.trials")
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
-    alpha = cfg.get("ineq.alpha")
     if alpha is None:
         report = sobolev_index(sym, _grid_spec(cfg))
         if report.sobolev_index is None:
@@ -307,19 +297,22 @@ def _task_inequalities(cfg, out_dir):
         alpha = report.sobolev_index
     fg = _freq_grid(cfg)
     form = spectral.verify_form_inequalities(
-        sym, _convert("ineq.alpha", alpha, float), _cfg(cfg, "ineq.trials"), fg,
-        seed=_cfg(cfg, "seed"), radial_grid=_grid_spec(cfg))
+        sym, float(alpha), trials, fg, seed=_cfg(cfg, "seed"), radial_grid=_grid_spec(cfg))
     _stage(f"form verification done: passed={form.passed} c2={form.garding_c2:.4g}")
     write_json({"family": rec, **form.to_record()}, cfg,
                os.path.join(out_dir, "inequalities.json"))
 
 
 def _task_evolve(cfg, out_dir):
+    T = _in_range("evolve.T", _cfg(cfg, "evolve.T"), 0.0)
+    K = _count(cfg, "evolve.K")
+    scheme = _cfg(cfg, "evolve.scheme")
+    if scheme.lower().replace(" ", "") not in spectral._SCHEMES:
+        raise ConfigError(f"evolve.scheme: unknown scheme {scheme!r}")
     sym, rec = build_symbol(cfg)
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)
-    traj = spectral.evolve(sym, g_hat, None, _cfg(cfg, "evolve.T"), _cfg(cfg, "evolve.K"),
-                           _cfg(cfg, "evolve.scheme"))
+    traj = spectral.evolve(sym, g_hat, None, T, K, scheme)
     _stage(f"evolved {len(traj.times)} time points, scheme={traj.scheme}")
     xi = fg.axis()
     rows = []
@@ -339,7 +332,7 @@ def _task_price(cfg, out_dir):
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)
     xs = _x_points(cfg, "price")
-    tau = _cfg(cfg, "price.tau")
+    tau = _in_range("price.tau", _cfg(cfg, "price.tau"), 0.0, lo_open=False)
     vals = spectral.conditional_expectation(sym, g_hat, tau, xs)
     _stage(f"priced at {len(xs)} points")
     write_json({"family": rec, "tau": tau,
@@ -353,7 +346,7 @@ def _task_price(cfg, out_dir):
 def _task_density(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     fg = _freq_grid(cfg)
-    t = _cfg(cfg, "density.t")
+    t = _in_range("density.t", _cfg(cfg, "density.t"), 0.0)
     xs = _x_points(cfg, "density")
     vals = spectral.density(sym, t, xs, fg)
     mass = spectral.density_mass(sym, t, fg)

@@ -40,6 +40,7 @@ from .symbols import (
     BrownianParams,
     CauchyParams,
     CGMYParams,
+    GHParams,
     NIGParams,
     Stable1dParams,
     StudentTParams,
@@ -328,7 +329,7 @@ def analytic_index(family) -> Optional[float]:
         if np.linalg.eigvalsh(0.5 * (sigma + sigma.T)).min() > 0:
             return 2.0
         raise UnknownFamily("degenerate Brownian part is outside the catalog")
-    if isinstance(family, (NIGParams, CauchyParams, StudentTParams)):
+    if isinstance(family, (NIGParams, CauchyParams, StudentTParams, GHParams)):
         return 1.0
     if isinstance(family, CGMYParams):
         return family.Y if 0.0 < family.Y < 2.0 else None

@@ -644,9 +644,8 @@ def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
     return a_fs, a_fas, err_acc
 
 
-def density_symbol(density: LevyDensity, b: float | None = None,
-                   sigma2: float = 0.0) -> Symbol:
-    """Quadrature-backed symbol for triplet (b, sigma2, f dx) w.r.t. h(x) = x.
+def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
+    """Quadrature-backed symbol for triplet (b, 0, f dx) w.r.t. h(x) = x.
 
     b = None selects the compensated drift b = int x F(dx) (requires the
     antisymmetric first moment to exist), in which case
@@ -658,7 +657,7 @@ def density_symbol(density: LevyDensity, b: float | None = None,
         out = np.empty(len(pts), dtype=complex)
         for i, u in enumerate(pts[:, 0]):
             a_fs, a_fas = symbol_parts_from_density(split, float(u))
-            val = a_fs + a_fas + 0.5 * sigma2 * u * u
+            val = a_fs + a_fas
             if b is None:
                 m1, _ = _first_moment_as(split, EPS_INNER)
                 val += 1j * u * m1

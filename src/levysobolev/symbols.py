@@ -1,4 +1,4 @@
-"""Levy process symbols A(xi) for the closed-form catalog.
+"""Levy process symbols A(xi): the family records and the closed-form catalog.
 
 The symbol of a Levy process with characteristics (b, sigma, F) w.r.t. a
 truncation h is
@@ -8,8 +8,8 @@ truncation h is
 
 equivalently A(xi) = -theta(-i xi) for the cumulant theta, so that
 mu_hat_t(xi) = e^{-t A(-xi)} (see conventions.py).  Each family below
-implements A in closed form; quadrature-backed symbols built from a Levy
-density live in measures.py.
+implements A in closed form; the density-backed families (gh, powerlaw,
+tabulated) go through the quadrature route of measures.py.
 
 Complex powers (M - iu)^Y, (G + iu)^Y in the CGMY exponent use the principal
 branch; both bases have strictly positive real part for G, M > 0, so no
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -51,12 +51,14 @@ class Truncation(enum.Enum):
 class BrownianParams:
     """sigma is the covariance matrix (scalar accepted for d=1)."""
 
+    family: ClassVar[str] = "brownian"
     sigma: tuple | float = 1.0
     b: tuple | float = 0.0
 
 
 @dataclass(frozen=True)
 class NIGParams:
+    family: ClassVar[str] = "nig"
     alpha: float
     beta: tuple | float = 0.0
     delta: float = 1.0
@@ -66,6 +68,7 @@ class NIGParams:
 
 @dataclass(frozen=True)
 class CauchyParams:
+    family: ClassVar[str] = "cauchy"
     c: float = 1.0
     gamma: tuple | float = 0.0
 
@@ -74,13 +77,15 @@ class CauchyParams:
 class StudentTParams:
     """Degrees of freedom f; the Bessel order is delta = f/4 unless given."""
 
+    family: ClassVar[str] = "student_t"
     f: float
-    delta: Optional[float] = None
+    delta: float | None = None
     mu: float = 0.0
 
 
 @dataclass(frozen=True)
 class CGMYParams:
+    family: ClassVar[str] = "cgmy"
     C: float
     G: float
     M: float
@@ -91,15 +96,39 @@ class CGMYParams:
 
 @dataclass(frozen=True)
 class Stable1dParams:
+    family: ClassVar[str] = "stable1d"
     alpha: float
     c: float = 1.0
     beta: float = 0.0
     tau: float = 0.0
 
 
-FamilyParams = (
-    BrownianParams | NIGParams | CauchyParams | StudentTParams | CGMYParams | Stable1dParams
-)
+@dataclass(frozen=True)
+class GHParams:
+    family: ClassVar[str] = "gh"  # C1/x^2 + C2/|x| + C3/x, damped by e^{-damping |x|}
+    C1: float = 1.0
+    C2: float = 0.0
+    C3: float = 0.0
+    damping: float = 1.0
+
+
+@dataclass(frozen=True)
+class PowerLawParams:
+    family: ClassVar[str] = "powerlaw"  # Levy density coef/|x|^{1+Y} on all of R
+    Y: float
+    coef: float = 1.0
+
+
+@dataclass(frozen=True)
+class TabulatedParams:
+    family: ClassVar[str] = "tabulated"
+    path: str  # CSV of x,f(x) rows ('#' starts a comment), log-log interpolated
+
+
+# each family's params dataclass is the one owner of its name and record keys
+FAMILIES = {cls.family: cls for cls in (
+    BrownianParams, NIGParams, CauchyParams, StudentTParams, CGMYParams, Stable1dParams,
+    GHParams, PowerLawParams, TabulatedParams)}
 
 
 def _as_vector(v, d: int, name: str) -> np.ndarray:
@@ -347,13 +376,15 @@ def _stable1d_fn(alpha, c, beta, tau):
 # constructors
 # --------------------------------------------------------------------------
 
-def make_symbol(params: FamilyParams, d: int | None = None) -> Symbol:
-    """Build the closed-form symbol for a catalog family.
+def make_symbol(params, d: int | None = None) -> Symbol:
+    """Build the symbol of the params of any family in FAMILIES.
 
-    Raises InvalidParams naming the violated constraint; the returned symbol
-    has been checked on a fixed 64-point sanity grid (hermitian symmetry,
-    nonnegative real part, finiteness).
+    Raises InvalidParams naming the violated constraint.  A closed-form
+    symbol has been checked on a fixed 64-point sanity grid (hermitian
+    symmetry, nonnegative real part, finiteness); a density-backed one
+    (gh, powerlaw, tabulated) is measures.density_symbol, unchecked.
     """
+    from . import measures
     if isinstance(params, BrownianParams):
         b = np.atleast_1d(np.asarray(params.b, dtype=float))
         d = d or len(b)
@@ -376,8 +407,7 @@ def make_symbol(params: FamilyParams, d: int | None = None) -> Symbol:
             raise InvalidParams("NIG requires alpha^2 > <beta, Delta beta>")
         dens = None
         if d == 1 and float(Delta[0, 0]) == 1.0:
-            from .measures import nig_density
-            dens = nig_density(params.alpha, float(beta[0]), params.delta)
+            dens = measures.nig_density(params.alpha, float(beta[0]), params.delta)
         sym = Symbol(d, "nig", params, _nig_fn(params.alpha, beta, params.delta, mu, Delta),
                      density=dens)
     elif isinstance(params, CauchyParams):
@@ -400,12 +430,23 @@ def make_symbol(params: FamilyParams, d: int | None = None) -> Symbol:
         if not 0.0 <= params.Y < 2.0:
             raise InvalidParams("CGMY requires 0 <= Y < 2")
         zero = params.zero_drift or params.Y >= 1.0
-        from .measures import cgmy_density
         sym = Symbol(1, "vg" if params.Y == 0.0 else "cgmy", params,
                      _cgmy_fn(params.C, params.G, params.M, params.Y, zero),
-                     density=cgmy_density(params.C, params.G, params.M, params.Y))
+                     density=measures.cgmy_density(params.C, params.G, params.M, params.Y))
     elif isinstance(params, Stable1dParams):
         return stable_symbol_1d(params)
+    elif isinstance(params, GHParams):
+        return measures.density_symbol(measures.gh_expansion_density(
+            params.C1, params.C2, params.C3, params.damping))
+    elif isinstance(params, PowerLawParams):
+        return measures.density_symbol(measures.power_law_density(params.coef, params.Y), b=0.0)
+    elif isinstance(params, TabulatedParams):
+        try:
+            data = np.loadtxt(params.path, delimiter=",", comments="#", ndmin=2)
+            x, f = data[:, 0], data[:, 1]
+        except (OSError, ValueError, IndexError) as exc:
+            raise InvalidParams(f"cannot read x,f rows of {params.path!r}: {exc}") from exc
+        return measures.density_symbol(measures.tabulated_density(x, f))
     else:
         raise InvalidParams(f"unknown parameter record {type(params).__name__}")
     _sanity_check(sym)
@@ -474,81 +515,60 @@ def _sanity_check(sym: Symbol) -> None:
 # flat key-value serialization (CLI config surface)
 # --------------------------------------------------------------------------
 
-def _fmt_vec(v) -> str:
-    return ",".join(repr(float(x)) for x in np.atleast_1d(np.asarray(v, dtype=float)))
-
-
 def _fmt_mat(m) -> str:
     arr = np.atleast_2d(np.asarray(m, dtype=float))
     return ";".join(",".join(repr(float(x)) for x in row) for row in arr)
 
 
-def _parse_vec(s):
-    if isinstance(s, (int, float)):
-        return float(s)
-    vals = [float(x) for x in str(s).split(",")]
-    return vals[0] if len(vals) == 1 else tuple(vals)
-
-
 def _parse_mat(s):
-    if isinstance(s, (int, float)):
-        return float(s)
+    """'a' -> float, 'a,b' -> flat tuple, 'a,b;c,d' -> tuple of rows."""
     rows = [tuple(float(x) for x in row.split(",")) for row in str(s).split(";")]
-    return rows[0][0] if len(rows) == 1 and len(rows[0]) == 1 else tuple(rows)
+    if len(rows) > 1:
+        return tuple(rows)
+    return rows[0] if len(rows[0]) > 1 else rows[0][0]
 
 
-def params_to_record(params: FamilyParams) -> dict:
-    """Flat text record; exact keys per family are the dataclass field names."""
-    if isinstance(params, BrownianParams):
-        return {"family": "brownian", "sigma": _fmt_mat(params.sigma), "b": _fmt_vec(params.b)}
-    if isinstance(params, NIGParams):
-        rec = {"family": "nig", "alpha": params.alpha, "beta": _fmt_vec(params.beta),
-               "delta": params.delta, "mu": _fmt_vec(params.mu)}
-        if params.Delta is not None:
-            rec["Delta"] = _fmt_mat(params.Delta)
-        return rec
-    if isinstance(params, CauchyParams):
-        return {"family": "cauchy", "c": params.c, "gamma": _fmt_vec(params.gamma)}
-    if isinstance(params, StudentTParams):
-        rec = {"family": "student_t", "f": params.f, "mu": params.mu}
-        if params.delta is not None:
-            rec["delta"] = params.delta
-        return rec
-    if isinstance(params, CGMYParams):
-        return {"family": "cgmy", "C": params.C, "G": params.G, "M": params.M,
-                "Y": params.Y, "zero_drift": params.zero_drift}
-    if isinstance(params, Stable1dParams):
-        return {"family": "stable1d", "alpha": params.alpha, "c": params.c,
-                "beta": params.beta, "tau": params.tau}
-    raise InvalidParams(f"cannot serialize {type(params).__name__}")
+def _parser(field):
+    """Text decoder of a params field, chosen by its declared type."""
+    if field.type.startswith("tuple"):
+        return _parse_mat
+    if field.type == "bool":
+        return lambda s: (s.strip().lower() in ("1", "true", "yes")
+                          if isinstance(s, str) else bool(s))
+    return str if field.type == "str" else float
 
 
-def params_from_record(rec: dict) -> FamilyParams:
+def params_to_record(params) -> dict:
+    """Flat record {family, field: value}: tuples as 'a,b;c,d', None left out."""
+    rec = {"family": params.family}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is not None:
+            rec[f.name] = _fmt_mat(value) if f.type.startswith("tuple") else value
+    return rec
+
+
+def params_from_record(rec: dict):
+    """The params of the record's family (values may be text); a `vg` record
+    is CGMY with Y = 0 unless Y is given.  An unknown family or key, a missing
+    required key or an unreadable value raises InvalidParams naming the key first.
+    """
     r = dict(rec)
     fam = str(r.pop("family", "")).lower().replace("-", "_")
-    try:
-        if fam == "brownian":
-            return BrownianParams(sigma=_parse_mat(r.get("sigma", 1.0)),
-                                  b=_parse_vec(r.get("b", 0.0)))
-        if fam == "nig":
-            return NIGParams(alpha=float(r["alpha"]), beta=_parse_vec(r.get("beta", 0.0)),
-                             delta=float(r.get("delta", 1.0)), mu=_parse_vec(r.get("mu", 0.0)),
-                             Delta=_parse_mat(r["Delta"]) if "Delta" in r else None)
-        if fam == "cauchy":
-            return CauchyParams(c=float(r.get("c", 1.0)), gamma=_parse_vec(r.get("gamma", 0.0)))
-        if fam == "student_t":
-            return StudentTParams(f=float(r["f"]),
-                                  delta=float(r["delta"]) if "delta" in r else None,
-                                  mu=float(r.get("mu", 0.0)))
-        if fam in ("cgmy", "vg"):
-            zd = r.get("zero_drift", False)
-            if isinstance(zd, str):
-                zd = zd.strip().lower() in ("1", "true", "yes")
-            return CGMYParams(C=float(r["C"]), G=float(r["G"]), M=float(r["M"]),
-                              Y=float(r.get("Y", 0.0)), zero_drift=bool(zd))
-        if fam == "stable1d":
-            return Stable1dParams(alpha=float(r["alpha"]), c=float(r.get("c", 1.0)),
-                                  beta=float(r.get("beta", 0.0)), tau=float(r.get("tau", 0.0)))
-    except KeyError as exc:
-        raise InvalidParams(f"family {fam!r} record missing key {exc}") from exc
-    raise InvalidParams(f"unknown family {fam!r}")
+    if fam == "vg":
+        fam, r = "cgmy", {"Y": 0.0, **r}
+    if fam not in FAMILIES:
+        raise InvalidParams(f"family: unknown family {fam!r}; known: {', '.join(FAMILIES)}, vg")
+    known = {f.name: f for f in fields(FAMILIES[fam])}
+    kw = {}
+    for key, value in r.items():
+        if key not in known:
+            raise InvalidParams(f"{key}: not a {fam} parameter (keys: {', '.join(known)})")
+        try:
+            kw[key] = _parser(known[key])(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"{key}: cannot read {value!r} ({exc})") from exc
+    for name, f in known.items():
+        if name not in kw and f.default is MISSING:
+            raise InvalidParams(f"{name}: required by a {fam} record")
+    return FAMILIES[fam](**kw)

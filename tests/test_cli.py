@@ -69,6 +69,14 @@ def test_config_error_exit_2(cgmy_cfg, tmp_path):
     ("price", "price.x_points=0,abc"),
     ("index", "grid.points_per_decade=x"),
     ("inequalities", "ineq.alpha=one"),
+    ("inequalities", "ineq.alpha=3"),
+    ("evolve", "evolve.T=0"),
+    ("evolve", "evolve.scheme=foo"),
+    ("density", "density.t=0"),
+    ("price", "price.tau=-1"),
+    ("price", "payoff.width=0"),
+    ("price", "payoff.width=-1"),
+    ("index", "process.C=5"),
 ])
 def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
     cfg = tmp_path / "c.json"
@@ -88,6 +96,9 @@ def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
     ("price", "price.x_count=0"),
     ("density", "density.x_count=-3"),
     ("symbol-eval", "eval.u_count=-3"),
+    ("evolve", "evolve.K=0"),
+    ("inequalities", "ineq.trials=0"),
+    ("price", "payoff.order=-1"),
 ])
 def test_bad_integer_value_exit_2(tmp_path, capsys, task, override):
     cfg = tmp_path / "c.json"
@@ -98,6 +109,27 @@ def test_bad_integer_value_exit_2(tmp_path, capsys, task, override):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and override.split("=")[0] in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("record,named", [
+    ({"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0, "process.M": 5.0},
+     "process.Y"),
+    ({"process.family": "tabulated", "process.path": "one-column.csv"}, "one-column.csv"),
+    ({"process.family": "tabulated", "process.path": "empty.csv"}, "empty.csv"),
+    ({"process.family": "tabulated", "process.path": "missing.csv"}, "missing.csv"),
+])
+def test_bad_process_record_exit_2(tmp_path, capsys, record, named):
+    (tmp_path / "one-column.csv").write_text("-1.0\n-0.5\n0.5\n1.0\n")
+    (tmp_path / "empty.csv").write_text("# x,f\n")
+    record = {k: str(tmp_path / v) if k == "process.path" else v for k, v in record.items()}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(record))
+    out = tmp_path / "o"
+    code = cli.main(["symbol-eval", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from levysobolev import measures as M
 from levysobolev import symbols as S
 from levysobolev.errors import EvalOverflow, InvalidParams
+from levysobolev.indices import CATALOG
 
 # ---------------------------------------------------------------------------
 # constructors and validation
@@ -278,6 +280,9 @@ ROUND_TRIP = [
     S.StudentTParams(f=3.0, delta=0.9, mu=0.0),
     S.CGMYParams(1.0, 2.0, 4.0, 0.5, zero_drift=True),
     S.Stable1dParams(alpha=1.0, c=1.0, beta=0.7, tau=0.3),
+    S.GHParams(C1=0.5, C2=0.1, C3=0.05, damping=2.0),
+    S.PowerLawParams(Y=1.3, coef=2.0),
+    S.TabulatedParams(path="dens.csv"),
 ]
 
 
@@ -293,6 +298,40 @@ def test_params_record_round_trip(params):
 def test_unknown_family_record():
     with pytest.raises(InvalidParams, match="unknown family"):
         S.params_from_record({"family": "meixner"})
+
+
+# one decodable record per family name, so that CATALOG and FAMILIES cannot drift apart
+FAMILY_RECORDS = {
+    "brownian": {}, "nig": {"alpha": 10.0}, "cauchy": {}, "student_t": {"f": 4.0},
+    "gh": {}, "cgmy": {"C": 1.0, "G": 2.0, "M": 4.0, "Y": 0.5},
+    "vg": {"C": 1.0, "G": 2.0, "M": 4.0}, "stable1d": {"alpha": 1.5},
+    "powerlaw": {"Y": 1.3}, "tabulated": {"path": "dens.csv"},
+}
+
+
+@pytest.mark.parametrize("name", sorted({fam for fam, _, _ in CATALOG} | set(S.FAMILIES)))
+def test_every_family_name_decodes(name):
+    params = S.params_from_record({"family": name, **FAMILY_RECORDS[name]})
+    assert S.FAMILIES[params.family] is type(params)
+
+
+def test_record_refuses_what_it_cannot_mean():
+    assert S.params_from_record({"family": "vg", "C": 1, "G": 2, "M": 4}) == \
+        S.CGMYParams(1.0, 2.0, 4.0, 0.0)
+    with pytest.raises(InvalidParams, match="^Y: required"):
+        S.params_from_record({"family": "cgmy", "C": 1, "G": 2, "M": 4})
+    with pytest.raises(InvalidParams, match="^C: not a cauchy parameter"):
+        S.params_from_record({"family": "cauchy", "c": 1.0, "C": 5})
+    with pytest.raises(InvalidParams, match="^c: cannot read 'abc'"):
+        S.params_from_record({"family": "cauchy", "c": "abc"})
+
+
+def test_gh_record_builds_the_gh_density_symbol():
+    sym = S.make_symbol(S.params_from_record(
+        {"family": "gh", "C1": "0.5", "C2": "0.1", "C3": "0.05"}))
+    ref = M.density_symbol(M.gh_expansion_density(0.5, 0.1, 0.05))
+    u = np.array([-30.0, -1.0, 0.5, 3.0])
+    np.testing.assert_array_equal(sym(u), ref(u))
 
 
 # ---------------------------------------------------------------------------
