@@ -27,24 +27,9 @@ from .indices import (
     cross_check,
     fit_continuity_exponent,
     fit_garding_exponent,
+    index_verdict,
     smoothness_moments,
     sobolev_index,
-)
-from .measures import (
-    BoundReport,
-    DensitySplit,
-    LevyDensity,
-    bg_index,
-    cgmy_density,
-    density_symbol,
-    gamma_index,
-    gh_expansion_density,
-    nig_density,
-    power_law_density,
-    split_symmetric,
-    symbol_parts_from_density,
-    tabulated_density,
-    verify_appendix_bounds,
 )
 from .spectral import (
     FormReport,
@@ -84,3 +69,33 @@ from .symbols import (
 )
 
 __version__ = "0.1.0"
+
+# measures imports scipy.integrate, which costs more than the rest of the
+# package together; its names load it on first access (PEP 562)
+_MEASURES_NAMES = frozenset({
+    "BoundReport",
+    "DensitySplit",
+    "LevyDensity",
+    "bg_index",
+    "cgmy_density",
+    "density_symbol",
+    "gamma_index",
+    "gh_expansion_density",
+    "nig_density",
+    "power_law_density",
+    "split_symmetric",
+    "symbol_parts_from_density",
+    "tabulated_density",
+    "verify_appendix_bounds",
+})
+
+
+def __getattr__(name):
+    if name in _MEASURES_NAMES:
+        from . import measures
+        return getattr(measures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MEASURES_NAMES})

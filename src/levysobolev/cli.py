@@ -10,11 +10,12 @@ overrides the `seed` key.  Exit codes: 0 success, 1 numerical failure
 error, with the key named on stderr.  Config errors include a value that
 does not parse as its key's type, a fractional value for an integer key
 (4096.0 reads as 4096, 64.9 is refused), a count below 1, a value out of
-range (evolve.T, density.t, payoff.width > 0; price.tau, payoff.order >= 0;
-ineq.alpha in (0, 2]), an unknown evolve.scheme, an unknown or missing
-process.* key and an unreadable tabulated file.  Identical config + seed
-produces byte-identical outputs: no timestamps, sorted keys,
-shortest-roundtrip float formatting.
+range (evolve.T, density.t, payoff.width, index.tol, eval.u_min, eval.u_max
+> 0; price.tau, payoff.order >= 0; ineq.alpha in (0, 2]; x_min, x_max and
+every x_points entry of price.* and density.* finite), an unknown
+evolve.scheme, an unknown or missing process.* key and an unreadable
+tabulated file.  Identical config + seed produces byte-identical outputs:
+no timestamps, sorted keys, shortest-roundtrip float formatting.
 
 Config keys (defaults in _DEFAULTS below, echoed into every output):
 
@@ -39,12 +40,13 @@ import json
 import math
 import os
 import sys
+from operator import itemgetter
 
 import numpy as np
 
 from . import spectral
 from .errors import ConfigError, InvalidParams, IoError, LevySobolevError
-from .indices import CATALOG, GridSpec, cross_check, sobolev_index
+from .indices import CATALOG, GridSpec, cross_check, index_verdict, sobolev_index
 from .symbols import Symbol, make_symbol, params_from_record, params_to_record
 
 _DEFAULTS = {
@@ -190,10 +192,12 @@ def _payoff_hat(cfg: dict, grid: spectral.FrequencyGrid) -> spectral.SpectralFie
 def _x_points(cfg: dict, prefix: str) -> np.ndarray:
     raw = cfg.get(f"{prefix}.x_points")
     if raw is not None:
-        return np.array([_convert(f"{prefix}.x_points", v, float)
+        key = f"{prefix}.x_points"
+        return np.array([_in_range(key, _convert(key, v, float), -math.inf)
                          for v in str(raw).split(",")])
-    return np.linspace(_cfg(cfg, f"{prefix}.x_min"), _cfg(cfg, f"{prefix}.x_max"),
-                       _count(cfg, f"{prefix}.x_count"))
+    lo, hi = (_in_range(key, _cfg(cfg, key), -math.inf)
+              for key in (f"{prefix}.x_min", f"{prefix}.x_max"))
+    return np.linspace(lo, hi, _count(cfg, f"{prefix}.x_count"))
 
 
 # --------------------------------------------------------------------------
@@ -226,6 +230,13 @@ def write_json(payload: dict, cfg: dict, path: str) -> None:
     _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _fmt_column(values) -> list:
+    """_fmt of every value; one map of str unless a float subclass (numpy's
+    float64, whose repr differs) needs _fmt.  str(float) is repr(float)."""
+    exact = all(t is float or not issubclass(t, float) for t in set(map(type, values)))
+    return list(map(str if exact else _fmt, values))
+
+
 def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
     """CSV with provenance header; refuses to write an empty result."""
     rows = list(rows)
@@ -235,8 +246,8 @@ def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
     for k, v in _provenance(cfg).items():
         lines.append(f"# {k}={_fmt(v)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    cols = (_fmt_column(list(map(itemgetter(i), rows))) for i in range(len(rows[0])))
+    lines.extend(map(",".join, zip(*cols)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -247,7 +258,8 @@ def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
 def _task_symbol_eval(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
-    us = np.geomspace(_cfg(cfg, "eval.u_min"), _cfg(cfg, "eval.u_max"),
+    us = np.geomspace(_in_range("eval.u_min", _cfg(cfg, "eval.u_min"), 0.0),
+                      _in_range("eval.u_max", _cfg(cfg, "eval.u_max"), 0.0),
                       _count(cfg, "eval.u_count"))
     us = np.concatenate([-us[::-1], [0.0], us])
     vals = np.array([sym(float(u)) for u in us])
@@ -265,7 +277,7 @@ def _task_index(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     grid = _grid_spec(cfg)
-    report = sobolev_index(sym, grid, tol=_cfg(cfg, "index.tol"))
+    report = sobolev_index(sym, grid, tol=_in_range("index.tol", _cfg(cfg, "index.tol"), 0.0))
     if report.beta is not None and report.sobolev_index is not None:
         cross_check(report)
     _stage(f"index fit done: alpha_cont={report.alpha_cont:.4f} "
@@ -290,7 +302,7 @@ def _task_inequalities(cfg, out_dir):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     if alpha is None:
-        report = sobolev_index(sym, _grid_spec(cfg))
+        report = index_verdict(sym, _grid_spec(cfg))
         if report.sobolev_index is None:
             raise LevySobolevError(
                 "inequalities: no Sobolev index found; set ineq.alpha explicitly")
@@ -314,11 +326,12 @@ def _task_evolve(cfg, out_dir):
     g_hat = _payoff_hat(cfg, fg)
     traj = spectral.evolve(sym, g_hat, None, T, K, scheme)
     _stage(f"evolved {len(traj.times)} time points, scheme={traj.scheme}")
-    xi = fg.axis()
-    rows = []
-    for t, f in zip(traj.times, traj.fields):
-        for x, v in zip(xi, f.values):
-            rows.append((float(t), float(x), float(v.real), float(v.imag)))
+    # each time and mode repeats down its column: format it once
+    t_txt = np.array(list(map(_fmt, traj.times.tolist())), dtype=object)
+    xi_txt = np.array(list(map(_fmt, fg.axis().tolist())), dtype=object)
+    values = np.concatenate([f.values for f in traj.fields])
+    rows = zip(np.repeat(t_txt, len(xi_txt)).tolist(), np.tile(xi_txt, len(t_txt)).tolist(),
+               values.real.tolist(), values.imag.tolist())
     l2 = [float(np.sqrt(np.sum(np.abs(f.values) ** 2) * fg.dxi)) for f in traj.fields]
     write_json({"family": rec, "scheme": traj.scheme,
                 "times": [float(t) for t in traj.times], "l2_norms": l2}, cfg,

@@ -22,9 +22,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
 from .errors import (
     DegenerateSymbol,
@@ -89,6 +86,7 @@ def _ray_values(symbol: Symbol, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]
     is the conjugate of the +1 ray, A(-xi) = conj(A(xi)), when that symmetry is
     known (catalog and density-backed symbols); other symbols evaluate both."""
     r = grid.radii()
+    # params first: reading `density` of a catalog symbol would build it
     if symbol.d == 1 and (symbol.params is not None or symbol.density is not None):
         plus = symbol(r)
         return r, np.vstack([plus, np.conj(plus)])
@@ -231,7 +229,7 @@ class IndexReport:
         return cls(**rec)
 
 
-def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
+def index_verdict(symbol: Symbol, grid: GridSpec = GridSpec(),
                   tol: float = 0.05) -> IndexReport:
     """Combine the two exponent fits into an index verdict.
 
@@ -241,6 +239,7 @@ def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
     exponent of the Garding deficit stays below alpha_gard.  The declared
     value is the fitted alpha_gard, never rounded to a catalog constant.
     The rays are evaluated once and shared by every fit (`report.rays`).
+    beta and gamma are left None; sobolev_index adds them.
     """
     r, vals = _ray_values(symbol, grid)
     alpha_cont, diag_c = _continuity_fit(r, vals)
@@ -281,7 +280,18 @@ def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
     lower_ok = (not np.isnan(beta_lower)) and beta_lower < alpha_gard - 1e-9
     if agrees and in_range and settled and lower_ok:
         report.sobolev_index = float(min(alpha_gard, 2.0))
+    return report
 
+
+def sobolev_index(symbol: Symbol, grid: GridSpec = GridSpec(),
+                  tol: float = 0.05) -> IndexReport:
+    """index_verdict plus, for a density-backed symbol whose verdict got past
+    the Garding fit and the sub-polynomial check, the jump-activity indices
+    beta = bg_index and gamma = gamma_index of its Levy density (a
+    FitUnstable is recorded in diagnostics["jump_indices"])."""
+    report = index_verdict(symbol, grid, tol)
+    if report.alpha_gard is None or report.sub_polynomial:
+        return report
     if symbol.density is not None:
         from .measures import bg_index, gamma_index
         try:
@@ -366,6 +376,10 @@ def smoothness_moments(symbol: Symbol, t: float, n_max: int,
     c2 = 0.9 * float(np.min(re_vals / r[top] ** alpha))
     if alpha <= 0 or c2 <= 0:
         raise TailUnbounded("fitted Garding bound is not positive")
+
+    from scipy.integrate import quad
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import gammaincc
 
     lam = t * c2
 

@@ -667,7 +667,7 @@ def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
         return out
 
     return symbol_from_callable(fn, d=1, family=f"from_density[{density.name}]",
-                                eval_mode="quadrature", density=density)
+                                eval_mode="quadrature", build_density=lambda: density)
 
 
 # --------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kve, loggamma
 
 from .errors import EvalOverflow, InvalidParams
 
@@ -218,8 +216,9 @@ class Symbol:
     """Evaluable map xi -> A(xi) in C, immutable after construction.
 
     `fn` maps an (n, d) float array to an (n,) complex array.  Evaluations
-    are pure; the only lazily cached attribute is the frozen quadratic-bound
-    constant, which is value-deterministic.
+    are pure; the lazily cached attributes are the frozen quadratic-bound
+    constant, which is value-deterministic, and the backing Levy density,
+    which `build_density` builds (and checks) on first access.
     """
 
     d: int
@@ -227,7 +226,12 @@ class Symbol:
     params: object | None
     fn: Callable[[np.ndarray], np.ndarray]
     eval_mode: str = "closed-form"  # or "quadrature"
-    density: object | None = None  # Levy density backing this symbol, if any
+    build_density: Callable[[], object] | None = None  # () -> backing Levy density
+
+    @cached_property
+    def density(self):
+        """The Levy density backing this symbol, or None; built on first access."""
+        return None if self.build_density is None else self.build_density()
 
     def __call__(self, xi):
         arr = np.asarray(xi, dtype=float)
@@ -318,6 +322,7 @@ def _cauchy_fn(c, gamma_vec):
 def _student_t_fn(dd: float, mu: float):
     # A(u) = -log K_dd(2 sqrt(dd)|u|) - dd log|u| - c0 + i mu u, with c0 fixed
     # by A(0) = 0; evaluated via kve = K e^z to stay finite for |u| <= 1e6.
+    from scipy.special import kve, loggamma
     c0 = math.log(2.0) - float(loggamma(dd)) + 0.5 * dd * math.log(dd)
 
     def fn(pts):
@@ -335,7 +340,10 @@ def _student_t_fn(dd: float, mu: float):
 def _cgmy_fn(C, G, M, Y, zero_drift: bool):
     # A(u) = -C Gamma(-Y) [ (M+iu)^Y - M^Y + (G-iu)^Y - G^Y ]          (b = int xF, Y<1)
     # minus i*u*C Gamma(1-Y)(M^{Y-1} - G^{Y-1}) for the (0,0,F) triplet.
-    # Y = 1 uses the analytic limit; Y = 0 is variance gamma.
+    # Y = 1 uses the analytic limit; Y = 0 is variance gamma.  scipy's gamma,
+    # not math.gamma: the two differ in the last bit for most arguments.
+    from scipy.special import gamma as gamma_fn
+
     def fn(pts):
         u = pts[:, 0]
         iu = 1j * u
@@ -376,15 +384,24 @@ def _stable1d_fn(alpha, c, beta, tau):
 # constructors
 # --------------------------------------------------------------------------
 
+def _density_builder(name: str, *args):
+    """() -> measures.<name>(*args); measures (and scipy.integrate) load on the call."""
+    def build():
+        from . import measures
+        return getattr(measures, name)(*args)
+    return build
+
+
 def make_symbol(params, d: int | None = None) -> Symbol:
     """Build the symbol of the params of any family in FAMILIES.
 
     Raises InvalidParams naming the violated constraint.  A closed-form
     symbol has been checked on a fixed 64-point sanity grid (hermitian
     symmetry, nonnegative real part, finiteness); a density-backed one
-    (gh, powerlaw, tabulated) is measures.density_symbol, unchecked.
+    (gh, powerlaw, tabulated) is measures.density_symbol, unchecked.  The
+    Levy density of a CGMY or 1-d NIG symbol is built, and checked, on first
+    access of `Symbol.density`.
     """
-    from . import measures
     if isinstance(params, BrownianParams):
         b = np.atleast_1d(np.asarray(params.b, dtype=float))
         d = d or len(b)
@@ -403,13 +420,15 @@ def make_symbol(params, d: int | None = None) -> Symbol:
             raise InvalidParams("Delta must be positive definite")
         if params.delta <= 0:
             raise InvalidParams("delta must be positive")
+        if params.alpha <= 0:
+            raise InvalidParams("NIG requires alpha > 0")
         if params.alpha**2 <= float(beta @ Delta @ beta):
             raise InvalidParams("NIG requires alpha^2 > <beta, Delta beta>")
-        dens = None
+        build = None
         if d == 1 and float(Delta[0, 0]) == 1.0:
-            dens = measures.nig_density(params.alpha, float(beta[0]), params.delta)
+            build = _density_builder("nig_density", params.alpha, float(beta[0]), params.delta)
         sym = Symbol(d, "nig", params, _nig_fn(params.alpha, beta, params.delta, mu, Delta),
-                     density=dens)
+                     build_density=build)
     elif isinstance(params, CauchyParams):
         g = np.atleast_1d(np.asarray(params.gamma, dtype=float))
         d = d or len(g)
@@ -432,13 +451,16 @@ def make_symbol(params, d: int | None = None) -> Symbol:
         zero = params.zero_drift or params.Y >= 1.0
         sym = Symbol(1, "vg" if params.Y == 0.0 else "cgmy", params,
                      _cgmy_fn(params.C, params.G, params.M, params.Y, zero),
-                     density=measures.cgmy_density(params.C, params.G, params.M, params.Y))
+                     build_density=_density_builder(
+                         "cgmy_density", params.C, params.G, params.M, params.Y))
     elif isinstance(params, Stable1dParams):
         return stable_symbol_1d(params)
     elif isinstance(params, GHParams):
+        from . import measures
         return measures.density_symbol(measures.gh_expansion_density(
             params.C1, params.C2, params.C3, params.damping))
     elif isinstance(params, PowerLawParams):
+        from . import measures
         return measures.density_symbol(measures.power_law_density(params.coef, params.Y), b=0.0)
     elif isinstance(params, TabulatedParams):
         try:
@@ -446,6 +468,7 @@ def make_symbol(params, d: int | None = None) -> Symbol:
             x, f = data[:, 0], data[:, 1]
         except (OSError, ValueError, IndexError) as exc:
             raise InvalidParams(f"cannot read x,f rows of {params.path!r}: {exc}") from exc
+        from . import measures
         return measures.density_symbol(measures.tabulated_density(x, f))
     else:
         raise InvalidParams(f"unknown parameter record {type(params).__name__}")

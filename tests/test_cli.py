@@ -8,6 +8,7 @@ import pytest
 
 from levysobolev import cli
 from levysobolev.errors import ConfigError, IoError
+from levysobolev.indices import CATALOG
 
 
 def run_cli(*args):
@@ -77,6 +78,13 @@ def test_config_error_exit_2(cgmy_cfg, tmp_path):
     ("price", "payoff.width=0"),
     ("price", "payoff.width=-1"),
     ("index", "process.C=5"),
+    ("symbol-eval", "eval.u_min=0"),
+    ("symbol-eval", "eval.u_min=-1"),
+    ("symbol-eval", "eval.u_max=0"),
+    ("price", "price.x_min=nan"),
+    ("price", "price.x_points=1,nan"),
+    ("density", "density.x_max=inf"),
+    ("index", "index.tol=-1"),
 ])
 def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
     cfg = tmp_path / "c.json"
@@ -182,6 +190,20 @@ def test_inequalities_task(cgmy_cfg, tmp_path):
     assert doc["result"]["passed"]
     assert doc["result"]["seed"] == 3
     assert doc["result"]["garding_c2"] > 0
+
+
+def test_inequalities_task_computes_no_jump_indices(cgmy_cfg, tmp_path, monkeypatch):
+    from levysobolev import measures
+
+    def refuse(density):
+        raise AssertionError("inequalities computed a jump-activity index")
+
+    monkeypatch.setattr(measures, "bg_index", refuse)
+    monkeypatch.setattr(measures, "gamma_index", refuse)
+    code = cli.main(["inequalities", "--config", cgmy_cfg, "--out", str(tmp_path / "o"),
+                     "--set", "ineq.trials=20", "--set", "freq.N=256"])
+    assert code == 0
+    assert json.loads((tmp_path / "o" / "inequalities.json").read_text())["result"]["passed"]
 
 
 def test_price_task_gaussian(tmp_path):
@@ -326,6 +348,21 @@ def test_emit_plot_data_refuses_empty(tmp_path):
     with pytest.raises(IoError, match="empty result"):
         cli.emit_plot_data([], ["a"], {}, str(tmp_path / "x.csv"))
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_emit_plot_data_matches_per_cell_format(tmp_path):
+    rows = [(-0.0, float("nan"), float("inf"), 5e-324, 3, "nig"),
+            (1.0, -float("inf"), 0.1 + 0.2, -1e300, -7, "alpha^2 > <beta, Delta beta>"),
+            (2.5, 1e-17, np.float64(0.25), True, 0, "none")]  # float64: a float subclass
+    rows += [(f, c, i, 1.0, 2, f) for f, c, i in CATALOG]
+    cfg = {"process.family": "cauchy", "freq.Xi": 16.0}
+    path = tmp_path / "p.csv"
+    cli.emit_plot_data(rows, ["a", "b", "c", "d", "e", "f"], cfg, str(path))
+    # the reference: every cell through _fmt, one at a time
+    head = ["# levysobolev plot data"]
+    head += [f"# {k}={cli._fmt(v)}" for k, v in cli._provenance(cfg).items()]
+    body = [",".join(cli._fmt(v) for v in row) for row in rows]
+    assert path.read_text() == "\n".join([*head, "a,b,c,d,e,f", *body]) + "\n"
 
 
 def test_load_config_rejects_non_object(tmp_path):

@@ -1,0 +1,50 @@
+"""What `import levysobolev` and single CLI tasks load: scipy.integrate and
+scipy.special are imported on first use, so each check runs in a fresh
+interpreter (pytest itself imports scipy.integrate for its warning filter)."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+HEAVY = ("scipy.integrate", "scipy.special")
+
+
+def loaded_after(code: str) -> list:
+    """The HEAVY modules in sys.modules after running `code` in a new interpreter."""
+    probe = f"{code}\nimport sys\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+def test_import_loads_neither_integrate_nor_special():
+    assert loaded_after("import levysobolev, levysobolev.cli") == []
+
+
+def test_measures_names_still_import_from_the_package():
+    code = ("from levysobolev import LevyDensity, bg_index, measures\n"
+            "assert LevyDensity is measures.LevyDensity and bg_index is measures.bg_index")
+    assert loaded_after(code) == list(HEAVY)
+
+
+def run_task(tmp_path, task: str, cfg: dict) -> list:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"freq.N": 64, **cfg}))
+    argv = [task, "--config", str(path), "--out", str(tmp_path / "out")]
+    return loaded_after(f"from levysobolev import cli\nassert cli.main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"process.family": "cauchy", "process.c": 1.0},
+    {"process.family": "nig", "process.alpha": 10.0, "process.beta": 2.0},
+])
+def test_price_loads_neither(tmp_path, cfg):
+    assert run_task(tmp_path, "price", cfg) == []
+
+
+def test_cgmy_density_loads_special_only(tmp_path):
+    cfg = {"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0,
+           "process.M": 5.0, "process.Y": 1.5}
+    assert run_task(tmp_path, "density", cfg) == ["scipy.special"]

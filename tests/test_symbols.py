@@ -334,6 +334,38 @@ def test_gh_record_builds_the_gh_density_symbol():
     np.testing.assert_array_equal(sym(u), ref(u))
 
 
+@pytest.mark.parametrize("params, reference", [
+    (S.CGMYParams(1.0, 2.0, 4.0, 1.5), lambda: M.cgmy_density(1.0, 2.0, 4.0, 1.5)),
+    (S.CGMYParams(0.7, 5.0, 3.0, 0.0), lambda: M.cgmy_density(0.7, 5.0, 3.0, 0.0)),
+    (S.NIGParams(alpha=10.0, beta=3.0, delta=0.8), lambda: M.nig_density(10.0, 3.0, 0.8)),
+])
+def test_catalog_density_is_built_on_first_access(params, reference, monkeypatch):
+    count = [0]
+
+    def counting_quad(*args, **kwargs):
+        count[0] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(M, "quad", counting_quad)
+    sym = S.make_symbol(params)
+    assert count[0] == 0  # no Levy-condition check until the density is read
+    dens = sym.density
+    assert count[0] > 0 and sym.density is dens
+    ref = reference()
+    x = np.concatenate([-np.geomspace(1e-8, 50.0, 97), [0.0], np.geomspace(1e-8, 50.0, 97)])
+    for part in ("f", "f_s_exact", "f_as_exact"):
+        np.testing.assert_array_equal(getattr(dens, part)(x), getattr(ref, part)(x))
+    assert (dens.y_hint, dens.c_hint, dens.finite_variation, dens.cutoff, dens.name) == \
+        (ref.y_hint, ref.c_hint, ref.finite_variation, ref.cutoff, ref.name)
+
+
+def test_symbols_without_a_density():
+    assert S.make_symbol(S.CauchyParams(c=1.0)).density is None
+    assert S.make_symbol(S.NIGParams(alpha=10.0, beta=(1.0, 0.0))).density is None
+    with pytest.raises(InvalidParams, match="alpha > 0"):
+        S.make_symbol(S.NIGParams(alpha=-10.0))
+
+
 # ---------------------------------------------------------------------------
 # triplet
 # ---------------------------------------------------------------------------
