@@ -27,7 +27,6 @@ from .indices import (
     cross_check,
     fit_continuity_exponent,
     fit_garding_exponent,
-    index_verdict,
     smoothness_moments,
     sobolev_index,
 )

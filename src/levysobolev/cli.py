@@ -40,7 +40,6 @@ import json
 import math
 import os
 import sys
-from operator import itemgetter
 
 import numpy as np
 
@@ -230,13 +229,6 @@ def write_json(payload: dict, cfg: dict, path: str) -> None:
     _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt_column(values) -> list:
-    """_fmt of every value; one map of str unless a float subclass (numpy's
-    float64, whose repr differs) needs _fmt.  str(float) is repr(float)."""
-    exact = all(t is float or not issubclass(t, float) for t in set(map(type, values)))
-    return list(map(str if exact else _fmt, values))
-
-
 def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
     """CSV with provenance header; refuses to write an empty result."""
     rows = list(rows)
@@ -246,8 +238,7 @@ def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
     for k, v in _provenance(cfg).items():
         lines.append(f"# {k}={_fmt(v)}")
     lines.append(",".join(columns))
-    cols = (_fmt_column(list(map(itemgetter(i), rows))) for i in range(len(rows[0])))
-    lines.extend(map(",".join, zip(*cols)))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 

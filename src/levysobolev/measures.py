@@ -70,6 +70,10 @@ class LevyDensity:
     symmetric/antisymmetric parts; without them the split differences f,
     which loses the antisymmetric part below |x| ~ 1e-14 in double
     precision.  The built-in families all provide them.
+
+    `levy_condition_proven` marks a family whose parameter checks already
+    prove int (x^2 ^ 1) f dx < inf; the numerical probe of that integral,
+    which cannot tell Y just below 2 from Y = 2, is then skipped.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -81,6 +85,7 @@ class LevyDensity:
     d: int = 1
     f_s_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_as_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    levy_condition_proven: bool = False
 
     def __post_init__(self):
         if self.d != 1:
@@ -91,7 +96,7 @@ class LevyDensity:
         vals = np.concatenate([self.f(xs), self.f(-xs)])
         if np.any(vals < -1e-12 * (1.0 + np.abs(vals))):
             raise InvalidParams(f"{self.name}: density must be nonnegative")
-        if not _levy_condition_holds(self):
+        if not self.levy_condition_proven and not _levy_condition_holds(self):
             raise InvalidParams(f"{self.name}: int (x^2 ^ 1) f(x) dx does not converge")
 
 
@@ -147,7 +152,7 @@ def cgmy_density(C: float, G: float, M: float, Y: float) -> LevyDensity:
 
     return LevyDensity(f=f, y_hint=Y, c_hint=C, finite_variation=Y < 1.0,
                        cutoff=740.0 / min(G, M), name=f"cgmy(C={C},G={G},M={M},Y={Y})",
-                       f_s_exact=f_s, f_as_exact=f_as)
+                       f_s_exact=f_s, f_as_exact=f_as, levy_condition_proven=True)
 
 
 def nig_density(alpha: float, beta: float = 0.0, delta: float = 1.0) -> LevyDensity:
@@ -194,7 +199,7 @@ def nig_density(alpha: float, beta: float = 0.0, delta: float = 1.0) -> LevyDens
     return LevyDensity(f=f, y_hint=1.0, c_hint=delta / np.pi, finite_variation=False,
                        cutoff=740.0 / (alpha - abs(beta)),
                        name=f"nig(alpha={alpha},beta={beta},delta={delta})",
-                       f_s_exact=f_s, f_as_exact=f_as)
+                       f_s_exact=f_s, f_as_exact=f_as, levy_condition_proven=True)
 
 
 def power_law_density(coef: float, Y: float) -> LevyDensity:
@@ -208,7 +213,8 @@ def power_law_density(coef: float, Y: float) -> LevyDensity:
             return np.where(ax > 0, coef / ax ** (1.0 + Y), 0.0)
 
     return LevyDensity(f=f, y_hint=Y, c_hint=coef, finite_variation=False,
-                       cutoff=np.inf, name=f"powerlaw(c={coef},Y={Y})")
+                       cutoff=np.inf, name=f"powerlaw(c={coef},Y={Y})",
+                       levy_condition_proven=True)
 
 
 def gh_expansion_density(C1: float, C2: float = 0.0, C3: float = 0.0,

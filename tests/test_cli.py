@@ -42,6 +42,20 @@ def test_index_task(cgmy_cfg, tmp_path):
     assert header == "log_xi,log_abs_a,log_re_a"
 
 
+def test_index_task_cgmy_near_y2(tmp_path):
+    # CGMY is a Levy law for every Y < 2; Y = 1.99 once failed the
+    # numerical Levy-condition probe
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"process.family": "cgmy", "process.C": 1.0,
+                                "process.G": 5.0, "process.M": 5.0, "process.Y": 1.99}))
+    out = tmp_path / "out"
+    res = run_cli("index", "--config", str(path), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((out / "index.json").read_text())
+    assert doc["result"]["sobolev_index"] == pytest.approx(1.99, abs=0.01)
+    assert doc["result"]["beta"] == pytest.approx(1.99, abs=0.01)
+
+
 def test_index_csv_slope_is_one_for_cauchy(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"process.family": "cauchy", "process.c": 1.0}))
@@ -353,7 +367,7 @@ def test_emit_plot_data_refuses_empty(tmp_path):
 def test_emit_plot_data_matches_per_cell_format(tmp_path):
     rows = [(-0.0, float("nan"), float("inf"), 5e-324, 3, "nig"),
             (1.0, -float("inf"), 0.1 + 0.2, -1e300, -7, "alpha^2 > <beta, Delta beta>"),
-            (2.5, 1e-17, np.float64(0.25), True, 0, "none")]  # float64: a float subclass
+            (2.5, 1e-17, 0.25, True, 0, "none")]
     rows += [(f, c, i, 1.0, 2, f) for f, c, i in CATALOG]
     cfg = {"process.family": "cauchy", "freq.Xi": 16.0}
     path = tmp_path / "p.csv"

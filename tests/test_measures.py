@@ -59,6 +59,16 @@ def test_levy_condition_rejects_too_singular():
                       name="too-singular")
 
 
+def test_levy_condition_proven_by_family_parameters(monkeypatch):
+    # Y just below 2 is a Levy measure, but its decade increments of
+    # int x^2 f shrink too slowly for the numerical probe; the closed-form
+    # families skip it
+    monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("probe ran"))
+    for d in (M.cgmy_density(1.0, 5.0, 5.0, 1.99), M.power_law_density(1.0, 1.999),
+              M.nig_density(2.0, 0.5, 1.0)):
+        assert d.levy_condition_proven
+
+
 def test_split_requires_one_dimension():
     d = M.cgmy_density(1.0, 5.0, 5.0, 0.5)
     object.__setattr__(d, "d", 2)

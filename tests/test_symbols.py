@@ -340,17 +340,14 @@ def test_gh_record_builds_the_gh_density_symbol():
     (S.NIGParams(alpha=10.0, beta=3.0, delta=0.8), lambda: M.nig_density(10.0, 3.0, 0.8)),
 ])
 def test_catalog_density_is_built_on_first_access(params, reference, monkeypatch):
-    count = [0]
-
-    def counting_quad(*args, **kwargs):
-        count[0] += 1
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(M, "quad", counting_quad)
+    builds = []
+    for name in ("cgmy_density", "nig_density"):
+        monkeypatch.setattr(M, name, lambda *a, _f=getattr(M, name): builds.append(a) or _f(*a))
+    monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad called"))
     sym = S.make_symbol(params)
-    assert count[0] == 0  # no Levy-condition check until the density is read
+    assert builds == []  # nothing built until the density is read
     dens = sym.density
-    assert count[0] > 0 and sym.density is dens
+    assert len(builds) == 1 and sym.density is dens
     ref = reference()
     x = np.concatenate([-np.geomspace(1e-8, 50.0, 97), [0.0], np.geomspace(1e-8, 50.0, 97)])
     for part in ("f", "f_s_exact", "f_as_exact"):
