@@ -21,10 +21,13 @@ eps = 1e-4 fixed:
 
 Every range away from the origin is integrated by one panel rule: decade
 panels [a, min(10 a, hi)], additionally capped at 60 radians of phase
-(width 60/|u|) below the oscillation cutoff 30/|u|, one `quad` call per
-panel with values and |errors| summed.  Beyond the cutoff the plain masses
-int w over the panels do not depend on u; they sit on the decade ladder
-eps*10^k and are cached on the split, panel by panel.
+(width 60/|u|) below the oscillation cutoff 30/|u|, and split at the
+density's `knots` (the nodes of a tabulated density, where it has a kink),
+one `quad` call per panel with values and |errors| summed.  The two ranges
+integrated by a single call take the knots as breakpoints instead.  Beyond
+the cutoff the plain masses int w over the panels do not depend on u; they
+sit on the decade ladder eps*10^k and are cached on the split, panel by
+panel.
 
 The antisymmetric part requires int |x f_as| dx < infinity; that precondition
 is probed numerically and DivergentIntegral raised when it fails.
@@ -33,6 +36,7 @@ is probed numerically and DivergentIntegral raised when it fails.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -74,6 +78,10 @@ class LevyDensity:
     `levy_condition_proven` marks a family whose parameter checks already
     prove int (x^2 ^ 1) f dx < inf; the numerical probe of that integral,
     which cannot tell Y just below 2 from Y = 2, is then skipped.
+
+    `knots` lists, sorted, the |x| where f is not smooth (the nodes of a
+    tabulated density); every quadrature over a range containing one splits
+    there.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -86,6 +94,7 @@ class LevyDensity:
     f_s_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_as_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     levy_condition_proven: bool = False
+    knots: tuple = ()
 
     def __post_init__(self):
         if self.d != 1:
@@ -100,13 +109,30 @@ class LevyDensity:
             raise InvalidParams(f"{self.name}: int (x^2 ^ 1) f(x) dx does not converge")
 
 
+def _knots_in(knots, a: float, b: float) -> tuple:
+    """The knots strictly inside (a, b)."""
+    return knots[bisect_right(knots, a):bisect_left(knots, b)]
+
+
+def _with_breaks(kw: dict, pts) -> dict:
+    """`quad` keywords kw plus breakpoints pts, if any.
+
+    QUADPACK refuses more breakpoints than its subinterval limit, so a dense
+    table raises the limit.
+    """
+    if not pts:
+        return kw
+    return dict(kw, points=pts, limit=max(kw["limit"], 2 * len(pts)))
+
+
 def _levy_condition_holds(density: LevyDensity) -> bool:
     f = density.f
     # small-jump side: per-decade increments of int x^2 f must keep decaying;
     # non-decaying increments signal int_0 x^2 f = infinity (x^2 f ~ x^{-1-s})
     def decade(k):
-        return quad(lambda x: x * x * (f(x) + f(-x)), 10.0 ** (-k), 10.0 ** (-k + 1),
-                    **_QUAD_KW)[0]
+        a, b = 10.0 ** (-k), 10.0 ** (-k + 1)
+        return quad(lambda x: x * x * (f(x) + f(-x)), a, b,
+                    **_with_breaks(_QUAD_KW, _knots_in(density.knots, a, b)))[0]
     prev, flat_run = decade(1), 0
     for k in range(2, 10):
         cur = decade(k)
@@ -260,7 +286,11 @@ def gh_expansion_density(C1: float, C2: float = 0.0, C3: float = 0.0,
 
 
 def tabulated_density(x_points, f_values, y_hint=None, c_hint=None) -> LevyDensity:
-    """Log-log interpolation of (x, f(x)) samples, one branch per sign of x."""
+    """Log-log interpolation of (x, f(x)) samples, one branch per sign of x.
+
+    Beyond the table each branch continues as the power law of its edge
+    segment.  The nodes are the density's knots.
+    """
     x_points = np.asarray(x_points, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
     if np.any(f_values < 0) or np.any(x_points == 0):
@@ -273,37 +303,45 @@ def tabulated_density(x_points, f_values, y_hint=None, c_hint=None) -> LevyDensi
         lx = np.log(np.abs(x_points[mask]))
         lf = np.log(np.maximum(f_values[mask], 1e-300))
         order = np.argsort(lx)
-        branches[sign] = (lx[order], lf[order])
+        lx, lf = lx[order], lf[order]
+        # one node 1e3 beyond each end in log x, on the edge slope: np.interp
+        # then extrapolates the edge power laws over the whole double range
+        s_lo = (lf[1] - lf[0]) / (lx[1] - lx[0])
+        s_hi = (lf[-1] - lf[-2]) / (lx[-1] - lx[-2])
+        branches[sign] = (np.concatenate(([lx[0] - 1e3], lx, [lx[-1] + 1e3])),
+                          np.concatenate(([lf[0] - 1e3 * s_lo], lf, [lf[-1] + 1e3 * s_hi])))
+    (lx_pos, lf_pos), (lx_neg, lf_neg) = branches[1.0], branches[-1.0]
 
-    def _loglog_interp(lq, lx, lf):
-        out = np.interp(lq, lx, lf)
-        lo = lq < lx[0]
-        if lo.any():  # edge slopes extrapolate as power laws beyond the table
-            s = (lf[1] - lf[0]) / (lx[1] - lx[0])
-            out[lo] = lf[0] + s * (lq[lo] - lx[0])
-        hi = lq > lx[-1]
-        if hi.any():
-            s = (lf[-1] - lf[-2]) / (lx[-1] - lx[-2])
-            out[hi] = lf[-1] + s * (lq[hi] - lx[-1])
-        return out
+    def sides(x):
+        # (f(|x|), f(-|x|)); both vanish at x = 0
+        with np.errstate(divide="ignore"):
+            lq = np.log(np.abs(x))
+        return (np.exp(np.interp(lq, lx_pos, lf_pos, left=-np.inf)),
+                np.exp(np.interp(lq, lx_neg, lf_neg, left=-np.inf)))
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for sign, (lx, lf) in branches.items():
-            mask = (x * sign) > 0
-            if mask.any():
-                out[mask] = np.exp(_loglog_interp(np.log(np.abs(x[mask])), lx, lf))
-        return out
+        right, left = sides(x)
+        return np.where(x > 0, right, left)
+
+    def f_s(x):
+        right, left = sides(x)
+        return 0.5 * (right + left)
+
+    def f_as(x):
+        right, left = sides(x)
+        return np.sign(x) * (0.5 * (right - left))
 
     if y_hint is None:
-        lx, lf = branches[1.0]
+        lx, lf = lx_pos[1:-1], lf_pos[1:-1]
         inner = slice(0, max(2, len(lx) // 4))
         slope = linear_fit(lx[inner], lf[inner])[0]
         y_hint = float(np.clip(-slope - 1.0, 0.0, 1.999))
         c_hint = float(np.exp(lf[0] + (1.0 + y_hint) * lx[0]))
     return LevyDensity(f=f, y_hint=y_hint, c_hint=c_hint, finite_variation=None,
-                       cutoff=float(np.abs(x_points).max()), name="tabulated")
+                       cutoff=float(np.abs(x_points).max()), name="tabulated",
+                       f_s_exact=f_s, f_as_exact=f_as,
+                       knots=tuple(np.unique(np.abs(x_points)).tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +357,7 @@ class DensitySplit:
     finite_variation: Optional[bool] = None
     cutoff: float = np.inf
     name: str = "split"
+    knots: tuple = ()
     # u-independent quadrature results: ("m1", eps) and (tag, a, b) per panel
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -374,7 +413,7 @@ def split_symmetric(density: LevyDensity) -> DensitySplit:
         raise InvalidParams("antisymmetric part exceeds symmetric part")
     return DensitySplit(f_s=f_s, f_as=f_as, y_hint=density.y_hint, c_hint=density.c_hint,
                         finite_variation=density.finite_variation, cutoff=density.cutoff,
-                        name=density.name)
+                        name=density.name, knots=density.knots)
 
 
 # --------------------------------------------------------------------------
@@ -414,18 +453,23 @@ def _head_partial(z: float, Y: float) -> float:
 # A_fs and A_fas by quadrature
 # --------------------------------------------------------------------------
 
-def _panels(lo: float, hi: float, width: float = np.inf, anchor: float | None = None):
+def _panels(lo: float, hi: float, width: float = np.inf, anchor: float | None = None,
+            knots: tuple = ()):
     """Panels [a, b] covering [lo, hi] with b = min(hi, 10 a, a + width).
 
     With an `anchor`, lo sits on the ladder anchor*10^k and the decade edge
     10 a is taken as anchor*10^(k+1): repeated multiplication by 10 drifts
     off that ladder by an ulp below the anchor and can leave a sliver panel.
+    Each panel is further split at the `knots` strictly inside it.
     """
     k = round(math.log10(lo / anchor)) if anchor else 0
     a = lo
     while a < hi:
         k += 1
         b = min(hi, anchor * 10.0 ** k if anchor else a * 10.0, a + width)
+        for c in _knots_in(knots, a, b):
+            yield a, c
+            a = c
         yield a, b
         a = b
 
@@ -449,14 +493,14 @@ def _panel_sum(fn, panels, kw: dict, split: DensitySplit | None = None,
 
 
 def _osc_tail(w, lo: float, hi: float, u: float, trig: str, limit: int,
-              skip_tol: float, anchor: float | None = None):
-    """int_lo^hi trig(u x) w(x) dx by QAWO on decade panels.
+              skip_tol: float, anchor: float | None = None, knots: tuple = ()):
+    """int_lo^hi trig(u x) w(x) dx by QAWO on decade panels split at the knots.
 
     Once the integration-by-parts envelope 2|w(a)|/|u| of the remaining tail
     drops below skip_tol the tail is dropped and counted as error instead.
     """
     total, err = 0.0, 0.0
-    for a, b in _panels(lo, hi, anchor=anchor):
+    for a, b in _panels(lo, hi, anchor=anchor, knots=knots):
         env = 2.0 * abs(float(np.asarray(w(np.array([a])))[0])) / abs(u)
         if env < skip_tol:
             err += env
@@ -467,7 +511,7 @@ def _osc_tail(w, lo: float, hi: float, u: float, trig: str, limit: int,
     return total, err
 
 
-def _inner_singular_quad(w, hi: float, kw: dict):
+def _inner_singular_quad(w, hi: float, kw: dict, knots: tuple = ()):
     """int_0^hi w(x) dx for w with an integrable power singularity at 0.
 
     The substitution x = s^10 turns |x|^{-q}, q < 1, into s^{10(1-q)-1},
@@ -475,6 +519,7 @@ def _inner_singular_quad(w, hi: float, kw: dict):
     (plain QAGS both under- and over-reports on such endpoint blow-ups).
     The lower limit stays above the region where x^{-(1+q)} overflows the
     double range; the excluded sliver [0, 1e-100] integrates to O(1e-20).
+    The knots, mapped to s, are breakpoints of the one call.
     """
     p = 10.0
     s_lo = 1e-10  # x = s^p = 1e-100
@@ -486,7 +531,8 @@ def _inner_singular_quad(w, hi: float, kw: dict):
         x = s**p
         return w(x) * p * s ** (p - 1.0)
 
-    return quad(trans, s_lo, s_hi, **kw)
+    pts = _knots_in(tuple(k ** (1.0 / p) for k in knots), s_lo, s_hi)
+    return quad(trans, s_lo, s_hi, **_with_breaks(kw, pts))
 
 
 def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
@@ -502,6 +548,7 @@ def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
     """
     au = abs(u)
     width = _PHASE_CAP / au
+    knots = split.knots
     integrand = lambda x: (1.0 - np.cos(u * x)) * w(x)
     total, err = 0.0, 0.0
     a = lo
@@ -510,23 +557,25 @@ def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
         b = min(hi, x_osc)
         if lo == 0.0:
             # integrand ~ u^2 x^2 w -> 0 at the origin: a single call works
-            pts = [p for p in (b * 1e-4, b * 1e-2) if lo < p < b] or None
-            val, e = quad(integrand, a, b, points=pts, **kw)
+            pts = sorted({p for p in (b * 1e-4, b * 1e-2) if lo < p < b}
+                         .union(_knots_in(knots, lo, b)))
+            val, e = quad(integrand, a, b, **_with_breaks(kw, pts))
         else:
-            val, e = _panel_sum(integrand, _panels(a, b, width), kw)
+            val, e = _panel_sum(integrand, _panels(a, b, width, knots=knots), kw)
         total += val
         err += abs(e)
         a = b
     if a < hi:
         snap = min(hi, anchor * 10.0 ** np.ceil(np.log10(a / anchor) - 1e-12))
         if a < snap:
-            val, e = _panel_sum(integrand, _panels(a, snap, width), kw)
+            val, e = _panel_sum(integrand, _panels(a, snap, width, knots=knots), kw)
             total += val
             err += e
             a = snap
         if a < hi:
-            mass, e1 = _panel_sum(w, _panels(a, hi, anchor=anchor), _QUAD_KW, split, tag)
-            osc, e2 = _osc_tail(w, a, hi, u, "cos", kw["limit"], skip_tol, anchor)
+            mass, e1 = _panel_sum(w, _panels(a, hi, anchor=anchor, knots=knots), _QUAD_KW,
+                                  split, tag)
+            osc, e2 = _osc_tail(w, a, hi, u, "cos", kw["limit"], skip_tol, anchor, knots)
             total += mass - osc
             err += e1 + e2
     return total, err
@@ -535,9 +584,10 @@ def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
 def _first_moment_as(split: DensitySplit, eps: float):
     key = ("m1", eps)
     if key not in split._cache:
-        inner, e1 = _inner_singular_quad(lambda x: x * split.f_as(x), eps, _QUAD_KW)
-        outer, e2 = _panel_sum(lambda x: x * split.f_as(x), _panels(eps, split.r_eff),
-                               _QUAD_KW)
+        inner, e1 = _inner_singular_quad(lambda x: x * split.f_as(x), eps, _QUAD_KW,
+                                         split.knots)
+        outer, e2 = _panel_sum(lambda x: x * split.f_as(x),
+                               _panels(eps, split.r_eff, knots=split.knots), _QUAD_KW)
         split._cache[key] = (2.0 * (inner + outer), 2.0 * (abs(e1) + abs(e2)))
     return split._cache[key]
 
@@ -634,15 +684,16 @@ def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
         x1 = float(np.clip(30.0 / au, eps, hi))
         lo = min(eps, x1)
         s_total, e = _inner_singular_quad(
-            lambda x: np.sin(u * x) * split.f_as(x), lo, kw)
+            lambda x: np.sin(u * x) * split.f_as(x), lo, kw, split.knots)
         err_acc += abs(e)
         if lo < x1:
             val, e = _panel_sum(lambda x: np.sin(u * x) * split.f_as(x),
-                                _panels(lo, x1, _PHASE_CAP / au), kw)
+                                _panels(lo, x1, _PHASE_CAP / au, knots=split.knots), kw)
             s_total += val
             err_acc += abs(e)
         if x1 < hi:
-            s_out, e = _osc_tail(split.f_as, x1, hi, u, "sin", kw["limit"], skip_tol)
+            s_out, e = _osc_tail(split.f_as, x1, hi, u, "sin", kw["limit"], skip_tol,
+                                 knots=split.knots)
             s_total += s_out
             err_acc += abs(e)
         a_fas = 1j * (2.0 * s_total - u * m1)
@@ -680,22 +731,39 @@ def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
 # jump-activity indices
 # --------------------------------------------------------------------------
 
-_BISECT_KW = dict(limit=100, epsabs=1e-12, epsrel=1e-8)
+def _dyadic_samples(split: DensitySplit):
+    """Nodes x, weights w and bin index of a Gauss-Legendre rule on [2^-34, 1].
+
+    Bin 0 is [1/16, 1]; bin k = 1..30 is [2^-(k+4), 2^-(k+3)], the last one
+    reaching below 1e-10.  Every dyadic interval [c/2, c] is split at the
+    knots and each piece gets 16 nodes, so each piece sees a smooth integrand.
+    """
+    t, wt = np.polynomial.legendre.leggauss(16)
+    xs, ws, idx = [], [], []
+    c, j = 1.0, 0
+    while c > 1e-10:
+        edges = (c / 2.0, *_knots_in(split.knots, c / 2.0, c), c)
+        for a, b in zip(edges[:-1], edges[1:]):
+            xs.append(0.5 * (b - a) * t + 0.5 * (b + a))
+            ws.append(0.5 * (b - a) * wt)
+            idx.append(np.full(len(t), max(j - 3, 0)))
+        c /= 2.0
+        j += 1
+    return np.concatenate(xs), np.concatenate(ws), np.concatenate(idx)
 
 
-def _alpha_integral_diverges(f_s, alpha: float) -> bool:
+def _alpha_integral_diverges(samples, alpha: float) -> bool:
     # divergence heuristic: halving the inner cutoff keeps raising the
     # partial integral by > 5% three times in a row *in the limit*; for a
     # convergent integral the increments decay geometrically, for a
     # divergent one increment/total approaches a positive constant
-    total = 2.0 * quad(lambda x: x**alpha * f_s(x), 1.0 / 16.0, 1.0, **_BISECT_KW)[0]
+    x, wf, idx = samples
+    parts = 2.0 * np.bincount(idx, weights=x**alpha * wf)
+    total = parts[0]
     run = 0
-    c = 1.0 / 16.0
-    while c > 1e-10:
-        inc = 2.0 * quad(lambda x: x**alpha * f_s(x), c / 2.0, c, **_BISECT_KW)[0]
+    for inc in parts[1:]:
         total += inc
         run = run + 1 if inc > 0.05 * total else 0
-        c /= 2.0
     return run >= 3
 
 
@@ -705,7 +773,8 @@ def bg_index(density: LevyDensity) -> float:
     Fits log f_s against log |x| on 64 log-spaced points in [1e-6, 1e-2]
     (beta = -slope - 1, clamped at 0) and cross-checks against a bisection on
     the divergence of int |x|^alpha f dx; Inconsistent when the two disagree
-    by more than 0.1.
+    by more than 0.1.  Every bisection step integrates over the dyadic
+    intervals from the same Gauss-Legendre samples of f_s, taken once.
     """
     if density.d != 1:
         raise NotOneDimensional("bg_index requires d = 1")
@@ -723,15 +792,17 @@ def bg_index(density: LevyDensity) -> float:
             raise FitUnstable(f"{density.name}: local power fit R^2 = {r2:.4f}")
         beta_fit = max(-slope - 1.0, 0.0)
 
+    x, w, idx = _dyadic_samples(split)
+    samples = (x, w * split.f_s(x), idx)
     lo, hi = 1e-3, 2.0
-    if not _alpha_integral_diverges(split.f_s, lo):
+    if not _alpha_integral_diverges(samples, lo):
         beta_bisect = 0.0
-    elif _alpha_integral_diverges(split.f_s, hi):
+    elif _alpha_integral_diverges(samples, hi):
         beta_bisect = 2.0
     else:
         for _ in range(14):
             mid = 0.5 * (lo + hi)
-            if _alpha_integral_diverges(split.f_s, mid):
+            if _alpha_integral_diverges(samples, mid):
                 lo = mid
             else:
                 hi = mid
@@ -750,7 +821,8 @@ def gamma_index(density: LevyDensity) -> float:
     split = split_symmetric(density)
     rs = np.geomspace(1e-6, 1e-1, 48)
     edges = np.concatenate(([0.0], rs))
-    vals = np.cumsum([2.0 * quad(lambda x: x * x * split.f_s(x), a, b, **_QUAD_KW)[0]
+    vals = np.cumsum([2.0 * quad(lambda x: x * x * split.f_s(x), a, b,
+                                 **_with_breaks(_QUAD_KW, _knots_in(split.knots, a, b)))[0]
                       for a, b in zip(edges[:-1], edges[1:])])
     if vals[-1] <= 0:
         return 0.0

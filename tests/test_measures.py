@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from levysobolev import measures as M
 from levysobolev import symbols as S
@@ -11,6 +13,15 @@ from levysobolev.errors import (
     NotOneDimensional,
     QuadratureFailure,
 )
+
+# the CLI test's table: exp(-2|x|)/|x|^2.2 at +-geomspace(1e-7, 20, 60)
+TABLE_X = np.concatenate([-np.geomspace(1e-7, 20, 60)[::-1], np.geomspace(1e-7, 20, 60)])
+
+
+def _table(scale=1.0):
+    fs = scale * np.exp(-2 * np.abs(TABLE_X)) / np.abs(TABLE_X) ** 2.2
+    return M.tabulated_density(TABLE_X, fs)
+
 
 # ---------------------------------------------------------------------------
 # densities and splits
@@ -84,6 +95,42 @@ def test_tabulated_density_loglog_interp():
     assert np.allclose(d.f(probe), 1.0 / np.abs(probe) ** 2.2 * np.exp(-np.abs(probe)),
                        rtol=0.05)
     assert d.y_hint == pytest.approx(1.2, abs=0.1)
+
+
+def test_tabulated_branches_extrapolate_edge_power_laws():
+    # a skewed table with different nodes per side; the padded branches must
+    # reproduce the plain two-branch log-log interpolant inside the table
+    # and the edge power laws outside it
+    xp, xn = np.geomspace(1e-7, 20.0, 60), np.geomspace(3e-7, 15.0, 45)
+    fp, fn = np.exp(-2 * xp) / xp ** 2.2, 0.4 * np.exp(-3 * xn) / xn ** 1.9
+    d = M.tabulated_density(np.concatenate([-xn, xp]), np.concatenate([fn, fp]))
+    sp = M.split_symmetric(d)
+    assert d.knots == tuple(np.unique(np.concatenate([xn, xp])))
+
+    def branch(nodes, vals, q):
+        lx, lf = np.log(nodes), np.log(vals)
+        lq = np.log(q)
+        out = np.interp(lq, lx, lf)
+        lo, hi = lq < lx[0], lq > lx[-1]
+        out[lo] = lf[0] + (lf[1] - lf[0]) / (lx[1] - lx[0]) * (lq[lo] - lx[0])
+        out[hi] = lf[-1] + (lf[-1] - lf[-2]) / (lx[-1] - lx[-2]) * (lq[hi] - lx[-1])
+        return np.exp(out)
+
+    def old_f(x):
+        ax = np.abs(x)
+        return np.where(x > 0, branch(xp, fp, ax), branch(xn, fn, ax))
+
+    nodes = np.concatenate([xp, xn])
+    inside = np.concatenate([np.geomspace(3e-7, 15.0, 301),
+                             nodes[(nodes >= 3e-7) & (nodes <= 15.0)]])
+    outside = np.concatenate([np.geomspace(1e-120, 9.9e-8, 50), np.geomspace(21.0, 1e5, 20)])
+    for ax, check in ((inside, np.testing.assert_array_equal),
+                      (outside, lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12))):
+        x = np.concatenate([ax, -ax])
+        check(d.f(x), old_f(x))
+        check(sp.f_s(x), 0.5 * (old_f(x) + old_f(-x)))
+        check(sp.f_as(x), 0.5 * (old_f(x) - old_f(-x)))
+    assert d.f(0.0) == sp.f_s(0.0) == sp.f_as(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +252,77 @@ def test_quadrature_refinement_stable():
 
 
 def test_refined_call_validates_against_a_deeper_run():
-    # this table's error estimate at u = 3 and refine = 2 (3.3e-8) misses the
-    # 1e-8 budget; the eps/4, refine = 4 cross-check shows the value is good
-    xs = np.concatenate([-np.geomspace(1e-7, 20, 60)[::-1], np.geomspace(1e-7, 20, 60)])
-    fs = np.exp(-2 * np.abs(xs)) / np.abs(xs) ** 2.2
-    sp = M.split_symmetric(M.tabulated_density(xs, fs))
+    # the table without its knots: the panels straddle its kinks, so the
+    # error estimate at u = 3 and refine = 2 (3.3e-8) misses the 1e-8
+    # budget; the eps/4, refine = 4 cross-check shows the value is good
+    table = _table()
+    sp = M.split_symmetric(M.LevyDensity(f=table.f, y_hint=table.y_hint,
+                                         c_hint=table.c_hint, cutoff=table.cutoff,
+                                         name="table-without-knots"))
     a1, b1 = M.symbol_parts_from_density(sp, 3.0)
     a2, b2 = M.symbol_parts_from_density(sp, 3.0, eps=M.EPS_INNER / 2, refine=2)
     assert abs(a1 - a2) + abs(b1 - b2) <= 1e-8
+
+
+def test_tabulated_route_has_no_failure_band():
+    # the kinks at the table nodes used to defeat the error estimate for
+    # u in about [0.69, 1.76]; scaled tables are the benchmark's inputs
+    sp = M.split_symmetric(_table())
+    for u in np.geomspace(0.3, 30.0, 40):
+        a_fs, _ = M.symbol_parts_from_density(sp, float(u))
+        assert a_fs > 0.0
+    for scale in (0.9, 1.1):
+        sp = M.split_symmetric(_table(scale))
+        for u in (0.71, 2.7, 18.8):
+            assert M.symbol_parts_from_density(sp, u)[0] > 0.0
+
+
+def test_tabulated_route_raises_no_integration_warning():
+    # pyproject.toml ignores IntegrationWarning suite-wide; here it counts
+    table = _table()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sp = M.split_symmetric(table)
+        for u in (0.3, 1.0, 3.0, 30.0, 1e3, 1e4):
+            M.symbol_parts_from_density(sp, u)
+        M.bg_index(table)
+        M.gamma_index(table)
+    assert [w for w in caught if issubclass(w.category, IntegrationWarning)] == []
+
+
+def test_dense_table_has_more_knots_than_the_subinterval_limit():
+    # about 490 nodes in [0, eps]: the single call there gets more
+    # breakpoints than QUADPACK's default 400 subintervals allow
+    x = np.geomspace(1e-9, 20.0, 1000)
+    xs = np.concatenate([-x[::-1], x])
+    d = M.tabulated_density(xs, np.exp(-2 * np.abs(xs)) / np.abs(xs) ** 2.2)
+    assert len(M._knots_in(d.knots, 0.0, M.EPS_INNER)) > M._QUAD_KW["limit"]
+    a_fs, a_fas = M.symbol_parts_from_density(M.split_symmetric(d), 3.0)
+    closed = S.make_symbol(S.CGMYParams(1.0, 2.0, 2.0, 1.2))(3.0)
+    assert a_fs + a_fas == pytest.approx(closed, rel=1e-4)
+    assert M.gamma_index(d) == pytest.approx(1.2, abs=0.05)
+
+
+@pytest.mark.parametrize("args, panels", [
+    ((1e-4, 700.0, np.inf, 1e-4), [(0.0001, 0.001), (0.001, 0.01), (0.01, 0.1), (0.1, 1.0),
+                                   (1.0, 10.0), (10.0, 100.0), (100.0, 700.0)]),
+    ((0.0015, 0.3, 20.0, None), [(0.0015, 0.015), (0.015, 0.15), (0.15, 0.3)]),
+    ((1e-4, 3e-3, 6e-3, None), [(0.0001, 0.001), (0.001, 0.003)]),
+    ((3e-3, 2.5, 0.6, None), [(0.003, 0.03), (0.03, 0.3), (0.3, 0.8999999999999999),
+                              (0.8999999999999999, 1.5), (1.5, 2.1), (2.1, 2.5)]),
+    ((1e-4, 0.0316227766016838, np.inf, 1e-4), [(0.0001, 0.001), (0.001, 0.01),
+                                                (0.01, 0.0316227766016838)]),
+])
+def test_panels_without_knots_are_unchanged(args, panels):
+    assert list(M._panels(*args, knots=())) == panels
+
+
+def test_panels_split_at_interior_knots():
+    knots = (5e-5, 1e-3, 3e-3, 0.5, 0.7, 800.0)
+    got = list(M._panels(1e-4, 700.0, anchor=1e-4, knots=knots))
+    assert got == [(0.0001, 0.001), (0.001, 0.003), (0.003, 0.01), (0.01, 0.1),
+                   (0.1, 0.5), (0.5, 0.7), (0.7, 1.0), (1.0, 10.0), (10.0, 100.0),
+                   (100.0, 700.0)]
 
 
 def test_a_fs_nonnegative():
@@ -274,6 +384,38 @@ def test_bg_index_inconsistent_raises():
     d = M.LevyDensity(f=f, finite_variation=False, cutoff=700.0, name="kinked")
     with pytest.raises((Inconsistent, M.FitUnstable)):
         M.bg_index(d)
+
+
+def test_bg_index_makes_no_quad_call(monkeypatch):
+    densities = (_table(), M.cgmy_density(1.0, 5.0, 5.0, 1.5), M.nig_density(10.0, 3.0, 1.0))
+    count = [0]
+
+    def counting_quad(*args, **kwargs):
+        count[0] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(M, "quad", counting_quad)
+    for d in densities:
+        M.bg_index(d)
+    assert count[0] == 0
+
+
+@pytest.mark.parametrize("density", [M.cgmy_density(1.0, 2.0, 4.0, 1.5),
+                                     M.nig_density(10.0, 3.0, 1.0), _table()],
+                         ids=["cgmy", "nig", "table"])
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.9])
+def test_dyadic_samples_integrate_each_interval(density, alpha):
+    # the shared Gauss-Legendre samples against quad on [1/16, 1] and each
+    # dyadic [c/2, c], c = 2^-4 ... 2^-33, split at the knots
+    sp = M.split_symmetric(density)
+    x, w, idx = M._dyadic_samples(sp)
+    got = np.bincount(idx, weights=x**alpha * w * sp.f_s(x))
+    edges = [(1.0 / 16.0, 1.0)] + [(2.0 ** -(j + 1), 2.0 ** -j) for j in range(4, 34)]
+    assert len(got) == len(edges)
+    for val, (a, b) in zip(got, edges):
+        ref = quad(lambda t: t**alpha * sp.f_s(t), a, b, epsabs=0.0, epsrel=1e-13,
+                   limit=200, points=M._knots_in(sp.knots, a, b) or None)[0]
+        assert val == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("Y,expect", [(1.2, 1.2)])
