@@ -73,7 +73,6 @@ __version__ = "0.1.0"
 # package together; its names load it on first access (PEP 562)
 _MEASURES_NAMES = frozenset({
     "BoundReport",
-    "DensitySplit",
     "LevyDensity",
     "bg_index",
     "cgmy_density",

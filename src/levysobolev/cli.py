@@ -309,9 +309,10 @@ def _task_inequalities(cfg, out_dir):
 def _task_evolve(cfg, out_dir):
     T = _in_range("evolve.T", _cfg(cfg, "evolve.T"), 0.0)
     K = _count(cfg, "evolve.K")
-    scheme = _cfg(cfg, "evolve.scheme")
-    if scheme.lower().replace(" ", "") not in spectral._SCHEMES:
-        raise ConfigError(f"evolve.scheme: unknown scheme {scheme!r}")
+    try:
+        scheme = spectral.scheme_name(_cfg(cfg, "evolve.scheme"))
+    except InvalidParams as exc:
+        raise ConfigError(f"evolve.scheme: {exc}") from exc
     sym, rec = build_symbol(cfg)
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)

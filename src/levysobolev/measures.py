@@ -26,7 +26,7 @@ density's `knots` (the nodes of a tabulated density, where it has a kink),
 one `quad` call per panel with values and |errors| summed.  The two ranges
 integrated by a single call take the knots as breakpoints instead.  Beyond
 the cutoff the plain masses int w over the panels do not depend on u; they
-sit on the decade ladder eps*10^k and are cached on the split, panel by
+sit on the decade ladder eps*10^k and are cached on the density, panel by
 panel.
 
 The antisymmetric part requires int |x f_as| dx < infinity; that precondition
@@ -71,7 +71,7 @@ class LevyDensity:
     inf when the tail is handled analytically by the weighted rules).
 
     `f_s_exact`/`f_as_exact` optionally give cancellation-free forms of the
-    symmetric/antisymmetric parts; without them the split differences f,
+    symmetric/antisymmetric parts; without them `f_s`/`f_as` difference f,
     which loses the antisymmetric part below |x| ~ 1e-14 in double
     precision.  The built-in families all provide them.
 
@@ -82,6 +82,11 @@ class LevyDensity:
     `knots` lists, sorted, the |x| where f is not smooth (the nodes of a
     tabulated density); every quadrature over a range containing one splits
     there.
+
+    The density carries its parts f = f_s + f_as, f_s even and f_as odd,
+    checked at construction for symmetry and |f_as| <= f_s, and a cache of
+    the u-independent quadrature results, ("m1", eps) and (tag, a, b) per
+    panel; a copy made by `dataclasses.replace` starts with an empty cache.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -95,6 +100,7 @@ class LevyDensity:
     f_as_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     levy_condition_proven: bool = False
     knots: tuple = ()
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d != 1:
@@ -107,6 +113,54 @@ class LevyDensity:
             raise InvalidParams(f"{self.name}: density must be nonnegative")
         if not self.levy_condition_proven and not _levy_condition_holds(self):
             raise InvalidParams(f"{self.name}: int (x^2 ^ 1) f(x) dx does not converge")
+        xs = np.geomspace(1e-7, max(1.0, min(self.cutoff, 1e2)), 64)
+        xs = np.concatenate([xs, -xs])
+        fs, fa = self.f_s(xs), self.f_as(xs)
+        if np.any(np.abs(fs - self.f_s(-xs)) > 1e-12 * (1.0 + np.abs(fs))):
+            raise InvalidParams("f_s failed the symmetry check")
+        if np.any(np.abs(fa) > fs * (1.0 + 1e-12) + 1e-300):
+            raise InvalidParams("antisymmetric part exceeds symmetric part")
+
+    @cached_property
+    def f_s(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The even part; differences f when no `f_s_exact` is given."""
+        if self.f_s_exact is not None:
+            return self.f_s_exact
+        f = self.f
+
+        def f_s(x):
+            return 0.5 * (f(np.asarray(x, dtype=float)) + f(-np.asarray(x, dtype=float)))
+        return f_s
+
+    @cached_property
+    def f_as(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The odd part; differences f when no `f_as_exact` is given."""
+        if self.f_as_exact is not None:
+            return self.f_as_exact
+        f = self.f
+
+        def f_as(x):
+            return 0.5 * (f(np.asarray(x, dtype=float)) - f(-np.asarray(x, dtype=float)))
+        return f_as
+
+    @cached_property
+    def r_eff(self) -> float:
+        """Outer integration limit: the cutoff, else where f_s(r) r^2 <= 1e-20."""
+        if np.isfinite(self.cutoff):
+            return float(self.cutoff)
+        r = 1.0
+        while r < 1e9 and self.f_s(np.array([r]))[0] * r * r > 1e-20:
+            r *= 2.0
+        return r
+
+    @cached_property
+    def pure_head(self) -> bool:
+        """True when f_s is exactly its power-law head on the whole line."""
+        if self.y_hint is None or not self.c_hint or not np.isinf(self.cutoff):
+            return False
+        xs = np.geomspace(1e-8, 1e6, 30)
+        head = self.c_hint / xs ** (1.0 + self.y_hint)
+        return bool(np.all(np.abs(self.f_s(xs) - head) <= 1e-13 * head))
 
 
 def _knots_in(knots, a: float, b: float) -> tuple:
@@ -348,72 +402,11 @@ def tabulated_density(x_points, f_values, y_hint=None, c_hint=None) -> LevyDensi
 # symmetric / antisymmetric split
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensitySplit:
-    f_s: Callable[[np.ndarray], np.ndarray]
-    f_as: Callable[[np.ndarray], np.ndarray]
-    y_hint: Optional[float] = None
-    c_hint: Optional[float] = None
-    finite_variation: Optional[bool] = None
-    cutoff: float = np.inf
-    name: str = "split"
-    knots: tuple = ()
-    # u-independent quadrature results: ("m1", eps) and (tag, a, b) per panel
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @cached_property
-    def r_eff(self) -> float:
-        """Outer integration limit: the cutoff, else where f_s(r) r^2 <= 1e-20."""
-        if np.isfinite(self.cutoff):
-            return float(self.cutoff)
-        r = 1.0
-        while r < 1e9 and self.f_s(np.array([r]))[0] * r * r > 1e-20:
-            r *= 2.0
-        return r
-
-    @cached_property
-    def pure_head(self) -> bool:
-        """True when f_s is exactly its power-law head on the whole line."""
-        if self.y_hint is None or not self.c_hint or not np.isinf(self.cutoff):
-            return False
-        xs = np.geomspace(1e-8, 1e6, 30)
-        head = self.c_hint / xs ** (1.0 + self.y_hint)
-        return bool(np.all(np.abs(self.f_s(xs) - head) <= 1e-13 * head))
-
-
-def split_symmetric(density: LevyDensity) -> DensitySplit:
-    """f = f_s + f_as with f_s even and f_as odd; checks |f_as| <= f_s.
-
-    Uses the density's cancellation-free part evaluators when provided;
-    otherwise differences f, which zeroes the antisymmetric part below
-    |x| ~ 1e-14 in double precision.
-    """
+def split_symmetric(density: LevyDensity) -> LevyDensity:
+    """The density itself: it carries its checked parts f_s and f_as."""
     if density.d != 1:
         raise NotOneDimensional("split requires d = 1")
-    f = density.f
-
-    if density.f_s_exact is not None:
-        f_s = density.f_s_exact
-    else:
-        def f_s(x):
-            return 0.5 * (f(np.asarray(x, dtype=float)) + f(-np.asarray(x, dtype=float)))
-
-    if density.f_as_exact is not None:
-        f_as = density.f_as_exact
-    else:
-        def f_as(x):
-            return 0.5 * (f(np.asarray(x, dtype=float)) - f(-np.asarray(x, dtype=float)))
-
-    xs = np.geomspace(1e-7, max(1.0, min(density.cutoff, 1e2)), 64)
-    xs = np.concatenate([xs, -xs])
-    fs, fa = f_s(xs), f_as(xs)
-    if np.any(np.abs(f_s(xs) - f_s(-xs)) > 1e-12 * (1.0 + np.abs(fs))):
-        raise InvalidParams("f_s failed the symmetry check")
-    if np.any(np.abs(fa) > fs * (1.0 + 1e-12) + 1e-300):
-        raise InvalidParams("antisymmetric part exceeds symmetric part")
-    return DensitySplit(f_s=f_s, f_as=f_as, y_hint=density.y_hint, c_hint=density.c_hint,
-                        finite_variation=density.finite_variation, cutoff=density.cutoff,
-                        name=density.name, knots=density.knots)
+    return density
 
 
 # --------------------------------------------------------------------------
@@ -474,14 +467,14 @@ def _panels(lo: float, hi: float, width: float = np.inf, anchor: float | None = 
         a = b
 
 
-def _panel_sum(fn, panels, kw: dict, split: DensitySplit | None = None,
+def _panel_sum(fn, panels, kw: dict, density: LevyDensity | None = None,
                tag: str = ""):
     """Sum of quad(fn, a, b, **kw) over the panels, and of the |errors|.
 
-    With a `split`, each panel's result is stored on it under (tag, a, b)
+    With a `density`, each panel's result is stored on it under (tag, a, b)
     and reused; callers do so only for u-independent masses at _QUAD_KW.
     """
-    cache = {} if split is None else split._cache
+    cache = {} if density is None else density._cache
     total, err = 0.0, 0.0
     for a, b in panels:
         if (tag, a, b) not in cache:
@@ -535,7 +528,7 @@ def _inner_singular_quad(w, hi: float, kw: dict, knots: tuple = ()):
     return quad(trans, s_lo, s_hi, **_with_breaks(kw, pts))
 
 
-def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
+def _one_minus_cos_region(density: LevyDensity, w, lo: float, hi: float,
                           u: float, kw: dict, skip_tol: float,
                           anchor: float, tag: str):
     """int_lo^hi (1 - cos(u x)) w(x) dx for 0 <= lo < hi.
@@ -544,11 +537,11 @@ def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
     quadrature (no cancellation: everything is evaluated together); beyond
     it the cosine genuinely oscillates, so the mass and the oscillatory part
     separate safely.  The boundary is snapped up to the decade ladder
-    anchor*10^k so the u-independent mass pieces are cached per split.
+    anchor*10^k so the u-independent mass pieces are cached per density.
     """
     au = abs(u)
     width = _PHASE_CAP / au
-    knots = split.knots
+    knots = density.knots
     integrand = lambda x: (1.0 - np.cos(u * x)) * w(x)
     total, err = 0.0, 0.0
     a = lo
@@ -574,38 +567,38 @@ def _one_minus_cos_region(split: DensitySplit, w, lo: float, hi: float,
             a = snap
         if a < hi:
             mass, e1 = _panel_sum(w, _panels(a, hi, anchor=anchor, knots=knots), _QUAD_KW,
-                                  split, tag)
+                                  density, tag)
             osc, e2 = _osc_tail(w, a, hi, u, "cos", kw["limit"], skip_tol, anchor, knots)
             total += mass - osc
             err += e1 + e2
     return total, err
 
 
-def _first_moment_as(split: DensitySplit, eps: float):
+def _first_moment_as(density: LevyDensity, eps: float):
     key = ("m1", eps)
-    if key not in split._cache:
-        inner, e1 = _inner_singular_quad(lambda x: x * split.f_as(x), eps, _QUAD_KW,
-                                         split.knots)
-        outer, e2 = _panel_sum(lambda x: x * split.f_as(x),
-                               _panels(eps, split.r_eff, knots=split.knots), _QUAD_KW)
-        split._cache[key] = (2.0 * (inner + outer), 2.0 * (abs(e1) + abs(e2)))
-    return split._cache[key]
+    if key not in density._cache:
+        inner, e1 = _inner_singular_quad(lambda x: x * density.f_as(x), eps, _QUAD_KW,
+                                         density.knots)
+        outer, e2 = _panel_sum(lambda x: x * density.f_as(x),
+                               _panels(eps, density.r_eff, knots=density.knots), _QUAD_KW)
+        density._cache[key] = (2.0 * (inner + outer), 2.0 * (abs(e1) + abs(e2)))
+    return density._cache[key]
 
 
-def _check_as_integrable(split: DensitySplit) -> None:
+def _check_as_integrable(density: LevyDensity) -> None:
     xs = np.geomspace(1e-10, EPS_INNER, 24)
-    vals = np.abs(xs * split.f_as(xs)) + np.abs(xs * split.f_as(-xs))
+    vals = np.abs(xs * density.f_as(xs)) + np.abs(xs * density.f_as(-xs))
     if np.all(vals < 1e-250):
         return
     slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]
     if slope <= -0.98:
         raise DivergentIntegral(
-            f"{split.name}: int |x f_as(x)| dx appears divergent near 0 "
+            f"{density.name}: int |x f_as(x)| dx appears divergent near 0 "
             f"(local exponent {slope:.3f})"
         )
 
 
-def symbol_parts_from_density(split: DensitySplit, u: float,
+def symbol_parts_from_density(density: LevyDensity, u: float,
                               eps: float = EPS_INNER, refine: int = 1):
     """(A_fs(u), A_fas(u)) for truncation h(x) = x.
 
@@ -620,22 +613,22 @@ def symbol_parts_from_density(split: DensitySplit, u: float,
     if u == 0.0:
         return 0.0, 0.0j
     budget = 1e-9 * (1.0 + u * u)
-    a_fs, a_fas, err_acc = _symbol_parts_once(split, u, eps, refine)
+    a_fs, a_fas, err_acc = _symbol_parts_once(density, u, eps, refine)
     if err_acc > budget:
-        b_fs, b_fas, _ = _symbol_parts_once(split, u, eps / 2.0, 2 * refine)
+        b_fs, b_fas, _ = _symbol_parts_once(density, u, eps / 2.0, 2 * refine)
         err_acc = abs(a_fs - b_fs) + abs(a_fas - b_fas)
         a_fs, a_fas = b_fs, b_fas
     if err_acc > budget:
         raise QuadratureFailure(
-            f"{split.name}: error estimate {err_acc:.3g} exceeds "
+            f"{density.name}: error estimate {err_acc:.3g} exceeds "
             f"budget {budget:.3g} at u = {u:g}"
         )
     if not (np.isfinite(a_fs) and np.isfinite(a_fas)):
-        raise QuadratureFailure(f"{split.name}: non-finite symbol part at u = {u:g}")
+        raise QuadratureFailure(f"{density.name}: non-finite symbol part at u = {u:g}")
     return float(max(a_fs, 0.0) if a_fs > -budget else a_fs), a_fas
 
 
-def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
+def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
     au = abs(u)
     budget = 1e-9 * (1.0 + u * u)
     kw = dict(_QUAD_KW)
@@ -645,15 +638,15 @@ def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
     kw["epsabs"] = max(_QUAD_KW["epsabs"], budget / (64.0 * refine))
     err_acc = 0.0
 
-    Y = split.y_hint
-    C = split.c_hint if split.c_hint is not None else 0.0
+    Y = density.y_hint
+    C = density.c_hint if density.c_hint is not None else 0.0
     use_head = Y is not None and C > 0.0 and Y > 0.0
 
     # drop oscillatory tails only once they are irrelevant both absolutely
     # and relative to the budget (the envelope decays fast, so this costs
     # at most a few extra segments)
     skip_tol = max(1e-13, 1e-5 * budget)
-    if use_head and split.pure_head:
+    if use_head and density.pure_head:
         # f_s = C/|x|^{1+Y} exactly: the substitution integral covers the line
         a_fs = 2.0 * C * au**Y * _head_total(Y)
     else:
@@ -661,39 +654,39 @@ def _symbol_parts_once(split: DensitySplit, u: float, eps: float, refine: int):
             head = 2.0 * C * au**Y * _head_partial(eps * au, Y)
 
             def g(x):
-                return split.f_s(x) - C / np.abs(x) ** (1.0 + Y)
+                return density.f_s(x) - C / np.abs(x) ** (1.0 + Y)
         else:
             head = 0.0
-            g = split.f_s
-        rem, e1 = _one_minus_cos_region(split, g, 0.0, eps, u, kw, skip_tol,
+            g = density.f_s
+        rem, e1 = _one_minus_cos_region(density, g, 0.0, eps, u, kw, skip_tol,
                                         anchor=eps, tag="g")
-        outer, e2 = _one_minus_cos_region(split, split.f_s, eps, split.r_eff, u, kw,
+        outer, e2 = _one_minus_cos_region(density, density.f_s, eps, density.r_eff, u, kw,
                                           skip_tol, anchor=eps, tag="fs")
         err_acc += e1 + e2
         a_fs = head + 2.0 * (rem + outer)
 
     # ---- antisymmetric part
-    fa_probe = np.abs(split.f_as(np.array([eps / 3, eps, 3 * eps])))
+    fa_probe = np.abs(density.f_as(np.array([eps / 3, eps, 3 * eps])))
     if np.all(fa_probe < 1e-250):
         a_fas = 0.0j
     else:
-        _check_as_integrable(split)
-        m1, e_m1 = _first_moment_as(split, eps)
+        _check_as_integrable(density)
+        m1, e_m1 = _first_moment_as(density, eps)
         err_acc += abs(e_m1)
-        hi = split.r_eff
+        hi = density.r_eff
         x1 = float(np.clip(30.0 / au, eps, hi))
         lo = min(eps, x1)
         s_total, e = _inner_singular_quad(
-            lambda x: np.sin(u * x) * split.f_as(x), lo, kw, split.knots)
+            lambda x: np.sin(u * x) * density.f_as(x), lo, kw, density.knots)
         err_acc += abs(e)
         if lo < x1:
-            val, e = _panel_sum(lambda x: np.sin(u * x) * split.f_as(x),
-                                _panels(lo, x1, _PHASE_CAP / au, knots=split.knots), kw)
+            val, e = _panel_sum(lambda x: np.sin(u * x) * density.f_as(x),
+                                _panels(lo, x1, _PHASE_CAP / au, knots=density.knots), kw)
             s_total += val
             err_acc += abs(e)
         if x1 < hi:
-            s_out, e = _osc_tail(split.f_as, x1, hi, u, "sin", kw["limit"], skip_tol,
-                                 knots=split.knots)
+            s_out, e = _osc_tail(density.f_as, x1, hi, u, "sin", kw["limit"], skip_tol,
+                                 knots=density.knots)
             s_total += s_out
             err_acc += abs(e)
         a_fas = 1j * (2.0 * s_total - u * m1)
@@ -708,15 +701,14 @@ def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
     antisymmetric first moment to exist), in which case
     A(u) = A_fs(u) + i int sin(ux) f_as(x) dx.
     """
-    split = split_symmetric(density)
 
     def fn(pts):
         out = np.empty(len(pts), dtype=complex)
         for i, u in enumerate(pts[:, 0]):
-            a_fs, a_fas = symbol_parts_from_density(split, float(u))
+            a_fs, a_fas = symbol_parts_from_density(density, float(u))
             val = a_fs + a_fas
             if b is None:
-                m1, _ = _first_moment_as(split, EPS_INNER)
+                m1, _ = _first_moment_as(density, EPS_INNER)
                 val += 1j * u * m1
             else:
                 val += 1j * u * b
@@ -731,7 +723,7 @@ def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
 # jump-activity indices
 # --------------------------------------------------------------------------
 
-def _dyadic_samples(split: DensitySplit):
+def _dyadic_samples(density: LevyDensity):
     """Nodes x, weights w and bin index of a Gauss-Legendre rule on [2^-34, 1].
 
     Bin 0 is [1/16, 1]; bin k = 1..30 is [2^-(k+4), 2^-(k+3)], the last one
@@ -742,7 +734,7 @@ def _dyadic_samples(split: DensitySplit):
     xs, ws, idx = [], [], []
     c, j = 1.0, 0
     while c > 1e-10:
-        edges = (c / 2.0, *_knots_in(split.knots, c / 2.0, c), c)
+        edges = (c / 2.0, *_knots_in(density.knots, c / 2.0, c), c)
         for a, b in zip(edges[:-1], edges[1:]):
             xs.append(0.5 * (b - a) * t + 0.5 * (b + a))
             ws.append(0.5 * (b - a) * wt)
@@ -776,11 +768,8 @@ def bg_index(density: LevyDensity) -> float:
     by more than 0.1.  Every bisection step integrates over the dyadic
     intervals from the same Gauss-Legendre samples of f_s, taken once.
     """
-    if density.d != 1:
-        raise NotOneDimensional("bg_index requires d = 1")
-    split = split_symmetric(density)
     xs = np.geomspace(1e-6, 1e-2, 64)
-    ys = split.f_s(xs)
+    ys = density.f_s(xs)
     if np.any(ys <= 0):
         return 0.0  # density vanishes near the origin: finite activity
     ly = np.log(ys)
@@ -792,8 +781,8 @@ def bg_index(density: LevyDensity) -> float:
             raise FitUnstable(f"{density.name}: local power fit R^2 = {r2:.4f}")
         beta_fit = max(-slope - 1.0, 0.0)
 
-    x, w, idx = _dyadic_samples(split)
-    samples = (x, w * split.f_s(x), idx)
+    x, w, idx = _dyadic_samples(density)
+    samples = (x, w * density.f_s(x), idx)
     lo, hi = 1e-3, 2.0
     if not _alpha_integral_diverges(samples, lo):
         beta_bisect = 0.0
@@ -816,13 +805,10 @@ def bg_index(density: LevyDensity) -> float:
 
 def gamma_index(density: LevyDensity) -> float:
     """Lower small-jump index: 2 minus log-log slope of G(r) = int_{-r}^{r} x^2 f."""
-    if density.d != 1:
-        raise NotOneDimensional("gamma_index requires d = 1")
-    split = split_symmetric(density)
     rs = np.geomspace(1e-6, 1e-1, 48)
     edges = np.concatenate(([0.0], rs))
-    vals = np.cumsum([2.0 * quad(lambda x: x * x * split.f_s(x), a, b,
-                                 **_with_breaks(_QUAD_KW, _knots_in(split.knots, a, b)))[0]
+    vals = np.cumsum([2.0 * quad(lambda x: x * x * density.f_s(x), a, b,
+                                 **_with_breaks(_QUAD_KW, _knots_in(density.knots, a, b)))[0]
                       for a, b in zip(edges[:-1], edges[1:])])
     if vals[-1] <= 0:
         return 0.0
@@ -877,7 +863,7 @@ def _upper_bound(us, ratio, trend_tol: float) -> BoundEntry:
     return BoundEntry(True, bool(slope <= trend_tol), {"C": float(ratio.max()), "trend": slope})
 
 
-def verify_appendix_bounds(split: DensitySplit, Y: float, grid,
+def verify_appendix_bounds(density: LevyDensity, Y: float, grid,
                            trend_tol: float = 0.05) -> BoundReport:
     """Check the four growth/lower-bound relations tying A_fs, A_fas to Y.
 
@@ -901,7 +887,7 @@ def verify_appendix_bounds(split: DensitySplit, Y: float, grid,
     a_fs = np.empty(len(us))
     a_fas = np.empty(len(us), dtype=complex)
     for i, u in enumerate(us):
-        a_fs[i], a_fas[i] = symbol_parts_from_density(split, float(u))
+        a_fs[i], a_fas[i] = symbol_parts_from_density(density, float(u))
 
     parts = {}
     # a) upper bound on the symmetric part
@@ -930,8 +916,8 @@ def verify_appendix_bounds(split: DensitySplit, Y: float, grid,
         parts["c"] = _upper_bound(us, mag / (1.0 + us ** max(1.0, Y)), trend_tol)
 
     # d) finite-variation drift bound
-    if split.finite_variation:
-        m1, _ = _first_moment_as(split, EPS_INNER)
+    if density.finite_variation:
+        m1, _ = _first_moment_as(density, EPS_INNER)
         mag_d = np.abs(a_fas.imag + us * m1)  # = |int sin(ux) f_as dx|
         if np.all(mag_d < 1e-250):
             parts["d"] = BoundEntry(True, True, {"C": 0.0}, "no antisymmetric part")

@@ -297,6 +297,14 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def scheme_name(scheme: str) -> str:
+    """The canonical name of a time-stepping scheme; InvalidParams if unknown."""
+    key = scheme.lower().replace(" ", "")
+    if key not in _SCHEMES:
+        raise InvalidParams(f"unknown scheme {scheme!r}")
+    return _SCHEMES[key]
+
+
 def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
            scheme: str = "exact") -> Trajectory:
     """Integrate u_hat'(t, xi) = -A(xi) u_hat + f_hat(t, xi) from g_hat.
@@ -309,10 +317,7 @@ def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
     """
     if T <= 0 or K < 1:
         raise InvalidParams("need T > 0 and K >= 1")
-    key = scheme.lower().replace(" ", "")
-    if key not in _SCHEMES:
-        raise InvalidParams(f"unknown scheme {scheme!r}")
-    scheme = _SCHEMES[key]
+    scheme = scheme_name(scheme)
     grid = g_hat.grid
     a = symbol_on_grid(symbol, grid)
     dt = T / K
@@ -497,7 +502,12 @@ def density_grid(symbol: Symbol, t: float, grid: FrequencyGrid):
 
 
 def density_mass(symbol: Symbol, t: float, grid: FrequencyGrid) -> float:
-    """Integral of the inverted density over the spatial window."""
+    """Riemann sum of the inverted density over the natural spatial grid.
+
+    On that grid the sum is phi_t(0) = 1 up to rounding for every symbol,
+    grid and t (sum_j (-1)^j FFT[b]_j = N b_{N/2}), so it cannot detect a
+    truncated window; the outer-shell TailTooFat check of `density` does.
+    """
     x, p = density_grid(symbol, t, grid)
     dx = x[1] - x[0]
     return float(np.sum(p) * dx**grid.d)

@@ -29,6 +29,14 @@ def test_measures_names_still_import_from_the_package():
     assert loaded_after(code) == list(HEAVY)
 
 
+def test_every_lazy_name_is_a_measures_name():
+    import levysobolev
+    from levysobolev import measures
+    for name in levysobolev._MEASURES_NAMES:
+        assert getattr(levysobolev, name) is getattr(measures, name)
+    assert levysobolev._MEASURES_NAMES <= set(dir(levysobolev))
+
+
 def run_task(tmp_path, task: str, cfg: dict) -> list:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"freq.N": 64, **cfg}))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -85,6 +86,21 @@ def test_split_requires_one_dimension():
     object.__setattr__(d, "d", 2)
     with pytest.raises(NotOneDimensional):
         M.split_symmetric(d)
+
+
+def test_density_checks_its_parts_when_built():
+    f = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.5
+    kw = dict(f=f, y_hint=0.5, c_hint=1.0, cutoff=50.0, levy_condition_proven=True)
+    with pytest.raises(InvalidParams, match="f_s failed the symmetry check"):
+        M.LevyDensity(**kw, f_s_exact=lambda x: f(x) * (1.0 + 0.1 * np.sign(x)))
+    with pytest.raises(InvalidParams, match="antisymmetric part exceeds symmetric part"):
+        M.LevyDensity(**kw, f_as_exact=lambda x: 2.0 * np.sign(x) * f(x))
+    # the density is its own split; a copy starts with an empty quadrature cache
+    d = M.cgmy_density(1.0, 2.0, 4.0, 0.5)
+    assert M.split_symmetric(d) is d
+    M.symbol_parts_from_density(d, 3.0)
+    assert d._cache
+    assert dataclasses.replace(d, name="copy")._cache == {}
 
 
 def test_tabulated_density_loglog_interp():

@@ -216,6 +216,26 @@ def test_scheme_orders(grid, gauss_field, cgmy15):
         assert np.log2(e1 / e2) == pytest.approx(order, abs=0.1)
 
 
+def test_rational_scheme_orders_with_a_source():
+    # f(t) = cos(t) s against variation of constants:
+    # u(T) = e^{-aT} g + (a cos T + sin T - a e^{-aT}) / (a^2 + 1) s
+    sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.5))
+    g = SP.FrequencyGrid(1, 256, 16.0)
+    g0 = SP.SpectralField.from_function(g, lambda xi: np.exp(-xi**2 / 2))
+    s = SP.SpectralField.from_function(g, lambda xi: np.exp(-xi**2 / 4)).values
+    a, T = sym(g.axis()), 0.5
+    exact = np.exp(-a * T) * g0.values \
+        + (a * np.cos(T) + np.sin(T) - a * np.exp(-a * T)) / (a * a + 1.0) * s
+    for scheme, order in (("implicit_euler", 1.0), ("crank_nicolson", 2.0)):
+        errs = []
+        for K in (32, 64, 128):
+            traj = SP.evolve(sym, g0, lambda t: np.cos(t) * s, T, K, scheme)
+            diff = traj.fields[-1].values - exact
+            errs.append(np.sqrt(np.sum(np.abs(diff) ** 2) * g.dxi))
+        for e1, e2 in zip(errs, errs[1:]):
+            assert np.log2(e1 / e2) == pytest.approx(order, abs=0.1)
+
+
 def test_exact_scheme_contraction(grid, gauss_field, cgmy15):
     traj = SP.evolve(cgmy15, gauss_field, None, 1.0, 10, "exact")
     l2 = [np.sum(np.abs(f.values) ** 2) for f in traj.fields]
@@ -241,6 +261,13 @@ def test_crank_nicolson_unstable_reported():
     f0 = SP.SpectralField.from_function(g, lambda xi: np.exp(-xi**2))
     with pytest.raises(UnstableScheme):
         SP.evolve(bad, f0, None, 1.0, 4, "crank_nicolson")
+
+
+def test_scheme_name_is_canonical():
+    assert SP.scheme_name("Crank Nicolson") == "crank_nicolson"
+    assert SP.scheme_name("implicitEuler") == "implicit_euler"
+    with pytest.raises(InvalidParams, match="unknown scheme 'leapfrog'"):
+        SP.scheme_name("leapfrog")
 
 
 def test_scheme_name_normalization(grid, gauss_field, brownian):
@@ -342,6 +369,15 @@ def test_density_grid_matches_direct(cauchy):
     pts = np.array([[x[i], x[j]] for i in idx for j in idx])
     direct = SP.density(cauchy2, 1.0, pts, g2)
     assert np.abs(p[np.ix_(idx, idx)].ravel() - direct).max() <= 1e-12
+
+
+def test_density_mass_cannot_see_a_truncated_window(cauchy):
+    # on the natural grid the FFT sum is N b_{N/2} = phi_t(0) = 1 whatever the
+    # window; the outer-shell tail check is what refuses this one
+    g = SP.FrequencyGrid(1, 256, 2.0)
+    assert abs(SP.density_mass(cauchy, 1e-3, g) - 1.0) <= 1e-12
+    with pytest.raises(TailTooFat):
+        SP.density(cauchy, 1e-3, [0.0], g)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0])
