@@ -30,7 +30,8 @@ sit on the decade ladder eps*10^k and are cached on the density, panel by
 panel.
 
 The antisymmetric part requires int |x f_as| dx < infinity; that precondition
-is probed numerically and DivergentIntegral raised when it fails.
+is probed numerically and DivergentIntegral raised when it fails.  QUADPACK
+passes one float at a time; the built-in parts evaluate it as a numpy scalar.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class LevyDensity:
     `f_s_exact`/`f_as_exact` optionally give cancellation-free forms of the
     symmetric/antisymmetric parts; without them `f_s`/`f_as` difference f,
     which loses the antisymmetric part below |x| ~ 1e-14 in double
-    precision.  The built-in families all provide them.
+    precision.  The built-in families all provide them, and theirs return
+    a scalar for a float x.
 
     `levy_condition_proven` marks a family whose parameter checks already
     prove int (x^2 ^ 1) f dx < inf; the numerical probe of that integral,
@@ -86,7 +88,8 @@ class LevyDensity:
     The density carries its parts f = f_s + f_as, f_s even and f_as odd,
     checked at construction for symmetry and |f_as| <= f_s, and a cache of
     the u-independent quadrature results, ("m1", eps) and (tag, a, b) per
-    panel; a copy made by `dataclasses.replace` starts with an empty cache.
+    panel, and of a passed f_as integrability probe; a copy made by
+    `dataclasses.replace` starts with an empty cache.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -124,24 +127,12 @@ class LevyDensity:
     @cached_property
     def f_s(self) -> Callable[[np.ndarray], np.ndarray]:
         """The even part; differences f when no `f_s_exact` is given."""
-        if self.f_s_exact is not None:
-            return self.f_s_exact
-        f = self.f
-
-        def f_s(x):
-            return 0.5 * (f(np.asarray(x, dtype=float)) + f(-np.asarray(x, dtype=float)))
-        return f_s
+        return _differenced(self.f, 1.0) if self.f_s_exact is None else self.f_s_exact
 
     @cached_property
     def f_as(self) -> Callable[[np.ndarray], np.ndarray]:
         """The odd part; differences f when no `f_as_exact` is given."""
-        if self.f_as_exact is not None:
-            return self.f_as_exact
-        f = self.f
-
-        def f_as(x):
-            return 0.5 * (f(np.asarray(x, dtype=float)) - f(-np.asarray(x, dtype=float)))
-        return f_as
+        return _differenced(self.f, -1.0) if self.f_as_exact is None else self.f_as_exact
 
     @cached_property
     def r_eff(self) -> float:
@@ -200,6 +191,35 @@ def _levy_condition_holds(density: LevyDensity) -> bool:
     return True
 
 
+def _differenced(f, sign: float):
+    """x -> (f(x) + sign f(-x))/2: the even part of f at sign 1, the odd at -1."""
+    def part(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * (f(x) + sign * f(-x))
+    return part
+
+
+def _off_origin(kernel, odd: bool = False):
+    """The part x -> kernel(|x|), times sgn(x) when `odd`, and 0 at x = 0.
+
+    `kernel` is a formula valid for |x| > 0.  A float x gives a numpy scalar
+    with the bits the array branch gives for x as a 0-d array.
+    """
+    def part(x):
+        if isinstance(x, float):
+            if not abs(x) > 0.0:
+                return 0.0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                out = kernel(np.float64(abs(x)))
+            return -out if odd and x < 0.0 else out
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.sign(x) * kernel(ax) if odd else kernel(ax)
+        return np.where(ax > 0, out, 0.0)
+    return part
+
+
 def cgmy_density(C: float, G: float, M: float, Y: float) -> LevyDensity:
     """f(x) = C e^{-M x}/x^{1+Y} for x > 0 and C e^{G x}/|x|^{1+Y} for x < 0."""
     if min(C, G, M) <= 0 or not 0.0 <= Y < 2.0:
@@ -213,22 +233,14 @@ def cgmy_density(C: float, G: float, M: float, Y: float) -> LevyDensity:
             out = C * np.exp(-rate * ax) / ax ** (1.0 + Y)
         return np.where(ax > 0, out, 0.0)
 
-    def f_s(x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        with np.errstate(divide="ignore", over="ignore"):
-            out = 0.5 * C * (np.exp(-G * ax) + np.exp(-M * ax)) / ax ** (1.0 + Y)
-        return np.where(ax > 0, out, 0.0)
+    f_s = _off_origin(lambda ax: 0.5 * C * (np.exp(-G * ax) + np.exp(-M * ax))
+                      / ax ** (1.0 + Y))
 
     # e^{-M|x|} - e^{-G|x|} = -sgn(G-M) e^{-min|x|} expm1(-|G-M||x|): no
     # cancellation as |x| -> 0 and no overflow at the cutoff
     as_scale, lo_rate, gap = -0.5 * float(np.sign(G - M)) * C, min(G, M), abs(G - M)
-
-    def f_as(x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = as_scale * np.exp(-lo_rate * ax) * np.expm1(-gap * ax) / ax ** (1.0 + Y)
-        return np.where(ax > 0, np.sign(x) * out, 0.0)
+    f_as = _off_origin(lambda ax: as_scale * np.exp(-lo_rate * ax) * np.expm1(-gap * ax)
+                       / ax ** (1.0 + Y), odd=True)
 
     return LevyDensity(f=f, y_hint=Y, c_hint=C, finite_variation=Y < 1.0,
                        cutoff=740.0 / min(G, M), name=f"cgmy(C={C},G={G},M={M},Y={Y})",
@@ -250,31 +262,18 @@ def nig_density(alpha: float, beta: float = 0.0, delta: float = 1.0) -> LevyDens
             out = coef * kve(1.0, alpha * ax) * np.exp(beta * x - alpha * ax) / ax
         return np.where(ax > 0, np.nan_to_num(out, posinf=0.0), 0.0)
 
-    def _hyperbolic(ax, odd):
-        # e^{-alpha ax} sinh/cosh(beta ax), overflow-safe at both ends
+    def kernel(ax, odd):
+        # e^{-alpha ax} cosh/sinh(beta ax) in hyp, overflow-safe at both ends
         z = beta * ax
         small = np.abs(z) <= 350.0
         zs = np.where(small, z, 0.0)
-        out = np.where(small, np.exp(-alpha * ax) * (np.sinh(zs) if odd else np.cosh(zs)),
-                       0.0)
-        big = ~small
-        if np.any(big):
-            lead = 0.5 * np.exp(np.abs(z[big]) - alpha * ax[big])
-            out[big] = lead * (np.sign(z[big]) if odd else 1.0)
-        return out
+        lead = 0.5 * np.exp(np.abs(z) - alpha * ax)
+        hyp = np.where(small, np.exp(-alpha * ax) * (np.sinh(zs) if odd else np.cosh(zs)),
+                       lead * (np.sign(z) if odd else 1.0))
+        return np.nan_to_num(coef * kve(1.0, alpha * ax) * hyp / ax, posinf=0.0)
 
-    def f_s(x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = coef * kve(1.0, alpha * ax) * _hyperbolic(ax, odd=False) / ax
-        return np.where(ax > 0, np.nan_to_num(out, posinf=0.0), 0.0)
-
-    def f_as(x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = coef * kve(1.0, alpha * ax) * _hyperbolic(ax, odd=True) / ax
-        return np.where(ax > 0, np.sign(x) * np.nan_to_num(out, posinf=0.0), 0.0)
+    f_s = _off_origin(lambda ax: kernel(ax, False))
+    f_as = _off_origin(lambda ax: kernel(ax, True), odd=True)
 
     return LevyDensity(f=f, y_hint=1.0, c_hint=delta / np.pi, finite_variation=False,
                        cutoff=740.0 / (alpha - abs(beta)),
@@ -315,24 +314,24 @@ def gh_expansion_density(C1: float, C2: float = 0.0, C3: float = 0.0,
         return np.where(ax > 0, np.maximum(head, 0.0) * np.exp(-damping * ax), 0.0)
 
     # below x_clamp neither sign is clipped, so the split is available in
-    # closed form (differencing would cancel the odd C3/x term near 0)
+    # closed form (differencing would cancel the odd C3/x term near 0);
+    # beyond it f is differenced, and only there
     x_clamp = C1 / (abs(C3) - C2) if abs(C3) > C2 else np.inf
 
-    def f_s(x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plain = (C1 / ax**2 + C2 / ax) * np.exp(-damping * ax)
-        out = np.where(ax < x_clamp, plain, 0.5 * (f(x) + f(-x)))
-        return np.where(ax > 0, out, 0.0)
+    def clamped(near, far):
+        def part(x):
+            if isinstance(x, float):
+                return near(x) if abs(x) < x_clamp else far(x)
+            x = np.asarray(x, dtype=float)
+            out, beyond = near(x), np.abs(x) >= x_clamp
+            out[beyond] = far(x[beyond])
+            return out
+        return part
 
-    def f_as(x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plain = (C3 / x) * np.exp(-damping * ax)
-        out = np.where(ax < x_clamp, plain, 0.5 * (f(x) - f(-x)))
-        return np.where(ax > 0, out, 0.0)
+    f_s = clamped(_off_origin(lambda ax: (C1 / ax**2 + C2 / ax) * np.exp(-damping * ax)),
+                  _differenced(f, 1.0))
+    f_as = clamped(_off_origin(lambda ax: C3 / ax * np.exp(-damping * ax), odd=True),
+                   _differenced(f, -1.0))
 
     return LevyDensity(f=f, y_hint=1.0, c_hint=C1, finite_variation=False,
                        cutoff=740.0 / damping, name="gh_expansion",
@@ -366,25 +365,24 @@ def tabulated_density(x_points, f_values, y_hint=None, c_hint=None) -> LevyDensi
                           np.concatenate(([lf[0] - 1e3 * s_lo], lf, [lf[-1] + 1e3 * s_hi])))
     (lx_pos, lf_pos), (lx_neg, lf_neg) = branches[1.0], branches[-1.0]
 
-    def sides(x):
-        # (f(|x|), f(-|x|)); both vanish at x = 0
-        with np.errstate(divide="ignore"):
-            lq = np.log(np.abs(x))
+    def sides(ax):
+        # (f(ax), f(-ax)) for ax >= 0; both vanish at 0
+        lq = np.log(ax)
         return (np.exp(np.interp(lq, lx_pos, lf_pos, left=-np.inf)),
                 np.exp(np.interp(lq, lx_neg, lf_neg, left=-np.inf)))
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        right, left = sides(x)
+        with np.errstate(divide="ignore"):
+            right, left = sides(np.abs(x))
         return np.where(x > 0, right, left)
 
-    def f_s(x):
-        right, left = sides(x)
-        return 0.5 * (right + left)
+    def half(ax, sign):
+        right, left = sides(ax)
+        return 0.5 * (right + sign * left)
 
-    def f_as(x):
-        right, left = sides(x)
-        return np.sign(x) * (0.5 * (right - left))
+    f_s = _off_origin(lambda ax: half(ax, 1.0))
+    f_as = _off_origin(lambda ax: half(ax, -1.0), odd=True)
 
     if y_hint is None:
         lx, lf = lx_pos[1:-1], lf_pos[1:-1]
@@ -577,25 +575,27 @@ def _one_minus_cos_region(density: LevyDensity, w, lo: float, hi: float,
 def _first_moment_as(density: LevyDensity, eps: float):
     key = ("m1", eps)
     if key not in density._cache:
-        inner, e1 = _inner_singular_quad(lambda x: x * density.f_as(x), eps, _QUAD_KW,
-                                         density.knots)
-        outer, e2 = _panel_sum(lambda x: x * density.f_as(x),
-                               _panels(eps, density.r_eff, knots=density.knots), _QUAD_KW)
+        moment = lambda x: x * density.f_as(x)
+        inner, e1 = _inner_singular_quad(moment, eps, _QUAD_KW, density.knots)
+        outer, e2 = _panel_sum(moment, _panels(eps, density.r_eff, knots=density.knots), _QUAD_KW)
         density._cache[key] = (2.0 * (inner + outer), 2.0 * (abs(e1) + abs(e2)))
     return density._cache[key]
 
 
 def _check_as_integrable(density: LevyDensity) -> None:
+    """DivergentIntegral unless int |x f_as| dx converges at 0; a pass is cached."""
+    if ("as_integrable",) in density._cache:
+        return
     xs = np.geomspace(1e-10, EPS_INNER, 24)
     vals = np.abs(xs * density.f_as(xs)) + np.abs(xs * density.f_as(-xs))
-    if np.all(vals < 1e-250):
-        return
-    slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]
-    if slope <= -0.98:
-        raise DivergentIntegral(
-            f"{density.name}: int |x f_as(x)| dx appears divergent near 0 "
-            f"(local exponent {slope:.3f})"
-        )
+    if not np.all(vals < 1e-250):
+        slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]
+        if slope <= -0.98:
+            raise DivergentIntegral(
+                f"{density.name}: int |x f_as(x)| dx appears divergent near 0 "
+                f"(local exponent {slope:.3f})"
+            )
+    density._cache[("as_integrable",)] = True
 
 
 def symbol_parts_from_density(density: LevyDensity, u: float,
@@ -676,12 +676,11 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
         hi = density.r_eff
         x1 = float(np.clip(30.0 / au, eps, hi))
         lo = min(eps, x1)
-        s_total, e = _inner_singular_quad(
-            lambda x: np.sin(u * x) * density.f_as(x), lo, kw, density.knots)
+        sin_w = lambda x: np.sin(u * x) * density.f_as(x)
+        s_total, e = _inner_singular_quad(sin_w, lo, kw, density.knots)
         err_acc += abs(e)
         if lo < x1:
-            val, e = _panel_sum(lambda x: np.sin(u * x) * density.f_as(x),
-                                _panels(lo, x1, _PHASE_CAP / au, knots=density.knots), kw)
+            val, e = _panel_sum(sin_w, _panels(lo, x1, _PHASE_CAP / au, knots=density.knots), kw)
             s_total += val
             err_acc += abs(e)
         if x1 < hi:

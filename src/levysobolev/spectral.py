@@ -20,6 +20,7 @@ grid with one FFT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -292,8 +293,21 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     out = np.ones_like(z)
     small = np.abs(z) < 1e-8
     zs = z[~small]
-    out[~small] = (np.exp(zs) - 1.0) / zs
+    out[~small] = np.expm1(zs) / zs
     out[small] = 1.0 + z[small] / 2.0
+    return out
+
+
+def _phi2(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1 - z)/z^2; its Taylor series for |z| < 1, where the form cancels."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1.0
+    zb = z[~small]
+    out[~small] = (np.expm1(zb) - zb) / (zb * zb)
+    zs, acc = z[small], 0.0
+    for k in range(17, -1, -1):   # sum_k z^k/(k+2)!; the rest is below 1/20! < 1e-18
+        acc = acc * zs + 1.0 / math.factorial(k + 2)
+    out[small] = acc
     return out
 
 
@@ -310,9 +324,12 @@ def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
     """Integrate u_hat'(t, xi) = -A(xi) u_hat + f_hat(t, xi) from g_hat.
 
     `f_hat` is None (homogeneous), or a callable t -> array over the grid;
-    sources are treated as piecewise constant per step for the exact scheme
-    (variation of constants is then exact), sampled at the step endpoints
-    for the rational schemes.  Crank-Nicolson raises UnstableScheme when any
+    sources are sampled at the step endpoints.  The exact scheme propagates
+    exactly and integrates the source interpolated linearly over each step
+    (exponential trapezoid, weights dt phi1 and dt phi2 of -dt A), so it is
+    second order in dt with a time-dependent source and exact with a
+    constant one; the rational schemes are first (implicit Euler) and second
+    (Crank-Nicolson) order.  Crank-Nicolson raises UnstableScheme when any
     mode has amplification factor > 1 (only possible if Re A < 0 somewhere).
     """
     if T <= 0 or K < 1:
@@ -342,23 +359,22 @@ def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
     u = g_hat.values.copy()
     if scheme == "exact":
         prop = np.exp(-dt * a)
-        src_w = dt * _phi1(-dt * a)
+        src_w, slope_w = dt * _phi1(-dt * a), dt * _phi2(-dt * a)
     elif scheme == "implicit_euler":
         denom = 1.0 + dt * a
     else:
         cn_num, cn_den = 1.0 - 0.5 * dt * a, 1.0 + 0.5 * dt * a
 
+    f1 = source(times[0])
     for k in range(K):
+        f0, f1 = f1, source(times[k + 1])   # the source at both ends of the step
         if scheme == "exact":
             u = prop * u
-            f0 = source(times[k])
             if f0 is not None:
-                u = u + src_w * f0
+                u = u + src_w * f0 + slope_w * (f1 - f0)
         elif scheme == "implicit_euler":
-            f1 = source(times[k + 1])
             u = (u + (dt * f1 if f1 is not None else 0.0)) / denom
         else:
-            f0, f1 = source(times[k]), source(times[k + 1])
             rhs = cn_num * u
             if f0 is not None:
                 rhs = rhs + 0.5 * dt * (f0 + f1)

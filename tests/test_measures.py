@@ -103,6 +103,96 @@ def test_density_checks_its_parts_when_built():
     assert dataclasses.replace(d, name="copy")._cache == {}
 
 
+def _user_density():
+    # a user density without exact parts; f is written not to warn at 0
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        with np.errstate(divide="ignore"):
+            return np.where(ax > 0, (1.0 + 0.5 * np.tanh(x)) * np.exp(-ax) / ax ** 1.5, 0.0)
+    return M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0, cutoff=700.0, name="user")
+
+
+EVERY_DENSITY = {
+    "cgmy-G<M": lambda: M.cgmy_density(1.0, 2.0, 4.0, 1.5),
+    "cgmy-G>M": lambda: M.cgmy_density(1.0, 5.0, 3.0, 0.7),
+    "nig": lambda: M.nig_density(10.0, 3.0, 1.0),
+    "nig-big-beta-x": lambda: M.nig_density(5.0, -4.9, 2.0),   # |beta x| > 350 beyond 71
+    "gh": lambda: M.gh_expansion_density(0.5, 0.1, 0.05, 1.0),  # x_clamp = inf
+    "gh-clamped": lambda: M.gh_expansion_density(0.5, 0.05, 0.3, 1.0),  # x_clamp = 2
+    "table": _table,
+    "power-law": lambda: M.power_law_density(1.0, 1.3),
+    "user": _user_density,
+}
+
+
+@pytest.mark.parametrize("make", EVERY_DENSITY.values(), ids=EVERY_DENSITY.keys())
+def test_float_and_array_parts_agree(make):
+    # QUADPACK calls f_s/f_as with one float at a time: that path must give
+    # the bits the array code gives on the same x as a 0-d array (what the
+    # callbacks evaluated before the float path existed), and match the
+    # vectorised evaluation to 4 ulp -- numpy's array `**` runs a SIMD pow
+    # that can round 1-2 ulp away from its scalar `**` on AVX-512 CPUs;
+    # every other step runs the same ufunc loops
+    d = make()
+    xs = np.concatenate([[0.0, 2.0, -2.0], np.geomspace(1e-9, 1e3, 13),
+                         -np.geomspace(1e-9, 1e3, 13)])
+    for part in (d.f_s, d.f_as):
+        scalar = [part(float(x)) for x in xs]
+        assert all(np.ndim(v) == 0 for v in scalar)
+        scalar = np.array(scalar, dtype=float)
+        zero_d = np.array([part(np.array(x)) for x in xs], dtype=float)
+        assert [v.hex() for v in scalar] == [v.hex() for v in zero_d]
+        np.testing.assert_array_max_ulp(scalar, part(xs), maxulp=4)
+        assert part(0.0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (d.f, d.f_s, d.f_as):
+            for x in (0.0, -0.0, np.array([0.0]), np.array([0.0, 1.0, -1.0])):
+                fn(x)
+
+
+def test_gh_split_beyond_the_clamp():
+    # C3 > C2: beyond x_clamp = C1/(C3 - C2) = 2 the negative side of the
+    # expansion is clipped to 0, and the parts difference f there
+    d = M.gh_expansion_density(0.5, 0.05, 0.3, 1.0)
+    xs = np.array([0.1, 0.5, 1.0, 1.9, 1.999, 2.0, 2.001, 2.1, 3.0, 10.0, 50.0, 100.0])
+    xs = np.concatenate([xs, -xs])
+    fs, fa = d.f_s(xs), d.f_as(xs)
+    # to rounding of the parts: f cancels to nearly 0 just inside -x_clamp
+    assert np.all(np.abs(fs + fa - d.f(xs)) <= 1e-13 * fs)
+    assert np.array_equal(d.f_s(-xs), fs)
+    assert np.array_equal(d.f_as(-xs), -fa)
+    assert np.all(d.f(xs[(xs <= -2.0)]) == 0.0)
+    assert np.all(np.abs(fa) <= fs)
+    for x, s in zip(xs, fs):
+        assert abs(d.f_s(float(x)) + d.f_as(float(x)) - d.f(x)) <= 1e-13 * s
+
+
+def test_antisymmetric_integrability_is_probed_once(monkeypatch):
+    calls = [0]
+    fit = M.linear_fit
+
+    def counting_fit(*args):
+        calls[0] += 1
+        return fit(*args)
+
+    monkeypatch.setattr(M, "linear_fit", counting_fit)
+    d = M.cgmy_density(1.0, 2.0, 4.0, 1.5)
+    for u in (3.0, 30.0, -5.0):
+        M.symbol_parts_from_density(d, u)
+    assert calls[0] == 1
+    # a divergent first moment is refused on every call, and nothing is cached
+    f = lambda x: (1.0 + 0.9 * np.sign(x)) * np.exp(-np.abs(x)) / np.abs(x) ** 2.2
+    skew = M.LevyDensity(f=f, y_hint=1.2, c_hint=1.0, finite_variation=False,
+                         cutoff=700.0, name="skew-heavy")
+    calls[0] = 0
+    for u in (2.0, 2.0, 7.0):
+        with pytest.raises(DivergentIntegral):
+            M.symbol_parts_from_density(skew, u)
+    assert calls[0] == 3
+
+
 def test_tabulated_density_loglog_interp():
     xs = np.concatenate([-np.geomspace(1e-6, 10, 40)[::-1], np.geomspace(1e-6, 10, 40)])
     fs = 1.0 / np.abs(xs) ** 2.2 * np.exp(-np.abs(xs))

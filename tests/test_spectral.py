@@ -236,6 +236,43 @@ def test_rational_scheme_orders_with_a_source():
             assert np.log2(e1 / e2) == pytest.approx(order, abs=0.1)
 
 
+def test_exact_scheme_orders_with_a_source():
+    # the exponential trapezoid: order 2 on the case above, with no error
+    # from the propagator itself
+    sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.5))
+    g = SP.FrequencyGrid(1, 256, 16.0)
+    g0 = SP.SpectralField.from_function(g, lambda xi: np.exp(-xi**2 / 2))
+    s = SP.SpectralField.from_function(g, lambda xi: np.exp(-xi**2 / 4)).values
+    a, T = sym(g.axis()), 0.5
+    exact = np.exp(-a * T) * g0.values \
+        + (a * np.cos(T) + np.sin(T) - a * np.exp(-a * T)) / (a * a + 1.0) * s
+    errs = []
+    for K in (32, 64, 128):
+        traj = SP.evolve(sym, g0, lambda t: np.cos(t) * s, T, K, "exact")
+        diff = traj.fields[-1].values - exact
+        errs.append(np.sqrt(np.sum(np.abs(diff) ** 2) * g.dxi))
+    assert errs[0] < 2e-5
+    for e1, e2 in zip(errs, errs[1:]):
+        assert np.log2(e1 / e2) == pytest.approx(2.0, abs=0.1)
+
+
+def test_phi_functions_match_their_expm1_forms():
+    r = np.geomspace(1e-12, 1e3, 301)
+    # Re z <= 0 as in evolve (z = -dt A), and small z > 0 across the series cut
+    z = np.concatenate([r * np.exp(1j * th) for th in (np.pi, 0.75 * np.pi, 0.5 * np.pi)]
+                       + [r[r <= 100.0].astype(complex)])
+    phi1 = np.expm1(z) / z
+    assert np.all(np.abs(SP._phi1(z) - phi1) <= 1e-15 * np.abs(phi1))
+    # (expm1(z) - z)/z^2 itself loses about eps/|z| relative to cancellation
+    phi2 = (np.expm1(z) - z) / z**2
+    tol = (1e-15 + 4.0 * np.finfo(float).eps / np.abs(z)) * np.abs(phi2)
+    assert np.all(np.abs(SP._phi2(z) - phi2) <= tol)
+    tiny = z[np.abs(z) < 1e-5]   # the omitted z^3/120 is below 1e-17
+    series = 0.5 + tiny / 6.0 + tiny**2 / 24.0
+    assert np.all(np.abs(SP._phi2(tiny) - series) <= 1e-15 * np.abs(series))
+    assert SP._phi2(np.zeros(1))[0] == 0.5
+
+
 def test_exact_scheme_contraction(grid, gauss_field, cgmy15):
     traj = SP.evolve(cgmy15, gauss_field, None, 1.0, 10, "exact")
     l2 = [np.sum(np.abs(f.values) ** 2) for f in traj.fields]
