@@ -44,13 +44,12 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 from scipy.special import kve
 
 from .errors import DivergentIntegral, FitUnstable, Inconsistent, InvalidParams, \
     NotOneDimensional, QuadratureFailure
 from .fitting import linear_fit
-from .symbols import Symbol, symbol_from_callable
+from .symbols import Symbol, _gamma, symbol_from_callable
 
 EPS_INNER = 1e-4          # fixed split radius between singular head and the rest
 _SERIES_CUT = 4.0         # switch point for I_Y between series and tail form
@@ -415,7 +414,7 @@ def _head_total(Y: float) -> float:
     # int_0^inf (1 - cos t)/t^{1+Y} dt, Y in (0,2); equals pi/2 at Y = 1
     if abs(Y - 1.0) < 1e-12:
         return math.pi / 2.0
-    return float(gamma_fn(2.0 - Y) / (Y * (1.0 - Y)) * math.cos(math.pi * Y / 2.0))
+    return float(_gamma(2.0 - Y) / (Y * (1.0 - Y)) * math.cos(math.pi * Y / 2.0))
 
 
 def _head_partial(z: float, Y: float) -> float:
@@ -583,10 +582,15 @@ def _first_moment_as(density: LevyDensity, eps: float):
 
 
 def _check_as_integrable(density: LevyDensity) -> None:
-    """DivergentIntegral unless int |x f_as| dx converges at 0; a pass is cached."""
+    """DivergentIntegral unless int |x f_as| dx converges at 0; a pass is cached.
+
+    The exponent is fitted over six decades below EPS_INNER, or below the
+    smallest knot: a fit across it would mix the table with its extrapolated head.
+    """
     if ("as_integrable",) in density._cache:
         return
-    xs = np.geomspace(1e-10, EPS_INNER, 24)
+    hi = min((EPS_INNER, *density.knots))
+    xs = np.geomspace(1e-10 * (hi / EPS_INNER), hi, 24)
     vals = np.abs(xs * density.f_as(xs)) + np.abs(xs * density.f_as(-xs))
     if not np.all(vals < 1e-250):
         slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]

@@ -204,8 +204,7 @@ class FormReport:
         return cls(**rec)
 
 
-def _random_band_field(grid: FrequencyGrid, rng) -> SpectralField:
-    radii = grid.radii()
+def _random_band_field(grid: FrequencyGrid, radii: np.ndarray, rng) -> SpectralField:
     band = rng.uniform(0.25, 1.0) * grid.Xi
     coeffs = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     coeffs[radii > band] = 0.0
@@ -246,8 +245,8 @@ def verify_form_inequalities(symbol: Symbol, alpha: float, trials: int,
     cont_max = 0.0
     min_slack = np.inf
     for _ in range(trials):
-        u = _random_band_field(grid, rng)
-        v = _random_band_field(grid, rng)
+        u = _random_band_field(grid, radii, rng)
+        v = _random_band_field(grid, radii, rng)
         au_v = np.sum(a_vals * u.values * np.conj(v.values)) * dv
         nu = np.sum(np.abs(u.values) ** 2 * wts) * dv
         nv = np.sum(np.abs(v.values) ** 2 * wts) * dv

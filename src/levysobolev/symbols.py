@@ -337,12 +337,59 @@ def _student_t_fn(dd: float, mu: float):
     return fn
 
 
+# Cephes Gamma (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the rational approximation scipy.special.gamma evaluates
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) bit for bit as scipy.special.gamma, for finite non-integer
+    x with |x| <= 2 and for x = 1, 2: Cephes's steps in Cephes's order.
+    The returns inside the loops are its `small` branch near a pole."""
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 0.0:
+        if x > -1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
 def _cgmy_fn(C, G, M, Y, zero_drift: bool):
     # A(u) = -C Gamma(-Y) [ (M+iu)^Y - M^Y + (G-iu)^Y - G^Y ]          (b = int xF, Y<1)
     # minus i*u*C Gamma(1-Y)(M^{Y-1} - G^{Y-1}) for the (0,0,F) triplet.
-    # Y = 1 uses the analytic limit; Y = 0 is variance gamma.  scipy's gamma,
-    # not math.gamma: the two differ in the last bit for most arguments.
-    from scipy.special import gamma as gamma_fn
+    # Y = 1 uses the analytic limit; Y = 0 is variance gamma.  _gamma, not
+    # math.gamma: math.gamma differs from scipy's in the last bits.
+    if Y not in (0.0, 1.0):
+        g = _gamma(-Y)
+        # constants via numpy's complex power so A(0) cancels bitwise
+        m_y, g_y = np.complex128(M) ** Y, np.complex128(G) ** Y
+    if zero_drift and Y != 1.0:
+        g_drift = _gamma(1.0 - Y)
+        drift = M ** (Y - 1.0) - G ** (Y - 1.0)
 
     def fn(pts):
         u = pts[:, 0]
@@ -353,12 +400,9 @@ def _cgmy_fn(C, G, M, Y, zero_drift: bool):
         if Y == 0.0:
             a = C * (np.log((M + iu) / M) + np.log((G - iu) / G))
         else:
-            g = gamma_fn(-Y)
-            # constants via numpy's complex power so A(0) cancels bitwise
-            m_y, g_y = np.complex128(M) ** Y, np.complex128(G) ** Y
             a = -C * g * ((M + iu) ** Y - m_y + (G - iu) ** Y - g_y)
         if zero_drift:
-            a = a - iu * C * gamma_fn(1.0 - Y) * (M ** (Y - 1.0) - G ** (Y - 1.0))
+            a = a - iu * C * g_drift * drift
         return a
     return fn
 

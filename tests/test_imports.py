@@ -52,7 +52,15 @@ def test_price_loads_neither(tmp_path, cfg):
     assert run_task(tmp_path, "price", cfg) == []
 
 
-def test_cgmy_density_loads_special_only(tmp_path):
-    cfg = {"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0,
-           "process.M": 5.0, "process.Y": 1.5}
-    assert run_task(tmp_path, "density", cfg) == ["scipy.special"]
+CGMY = {"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0,
+        "process.M": 5.0, "process.Y": 1.5}
+
+
+@pytest.mark.parametrize("task", ["density", "evolve", "inequalities", "price", "symbol-eval"])
+def test_cgmy_closed_form_task_loads_neither(tmp_path, task):
+    assert run_task(tmp_path, task, CGMY) == []
+
+
+def test_cgmy_index_loads_both(tmp_path):
+    # beta and gamma come from the Levy density by quadrature
+    assert run_task(tmp_path, "index", CGMY) == list(HEAVY)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -454,6 +455,35 @@ def test_divergent_antisymmetric_first_moment():
     sp = M.split_symmetric(d)
     with pytest.raises(DivergentIntegral):
         M.symbol_parts_from_density(sp, 2.0)
+
+
+def test_asymmetric_table_head_is_divergent():
+    # e^{-3x} and e^{-2x} sides: below the smallest node each side extrapolates
+    # its own edge power law, so x f_as ~ |x|^{-1.2} there and is not integrable
+    fs = np.where(TABLE_X > 0, np.exp(-3 * TABLE_X), np.exp(2 * TABLE_X)) \
+        / np.abs(TABLE_X) ** 2.2
+    d = M.tabulated_density(TABLE_X, fs)
+    with pytest.raises(DivergentIntegral, match="local exponent"):
+        M._check_as_integrable(d)
+    with pytest.raises(DivergentIntegral):
+        M.symbol_parts_from_density(d, 3.0)
+
+
+@pytest.mark.parametrize("make", [
+    _table,
+    lambda: M.cgmy_density(1.0, 2.0, 4.0, 1.5),
+    lambda: M.nig_density(10.0, 3.0, 1.0),
+    lambda: M.gh_expansion_density(1.0, 0.5, 0.3, 1.0),
+])
+def test_integrable_first_moments_pass_the_probe(make):
+    M._check_as_integrable(make())
+
+
+def test_head_total_is_the_scipy_gamma_formula_bitwise():
+    from scipy.special import gamma
+    for Y in np.random.default_rng(5).uniform(1e-6, 2.0 - 1e-6, 2000).tolist():
+        want = float(gamma(2.0 - Y) / (Y * (1.0 - Y)) * math.cos(math.pi * Y / 2.0))
+        assert M._head_total(Y) == want
 
 
 def test_density_symbol_route():

@@ -246,6 +246,55 @@ def test_cgmy_zero_drift_keeps_linear_term():
     assert ratio == pytest.approx(4.0, abs=0.3)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 0.0), (-1.0, 1.0), (0.0, 2.0)])
+def test_gamma_is_scipys_bit_for_bit(lo, hi):
+    from scipy.special import gamma
+    xs = np.random.default_rng(int(10 * lo) + 50).uniform(lo, hi, 100_000)
+    ours = [S._gamma(float(x)) for x in xs]
+    assert np.array_equal(_bits(ours), _bits(gamma(xs)))
+
+
+def test_gamma_near_integers_and_at_one_and_two():
+    from scipy.special import gamma
+    offsets = np.geomspace(1e-16, 1e-6, 200)
+    xs = np.concatenate([c + s * offsets for c in (-1.0, 0.0, 1.0) for s in (-1.0, 1.0)])
+    xs = np.append(xs[(xs != -1.0) & (xs != 0.0)], [1.0, 2.0])
+    ours = [S._gamma(float(x)) for x in xs]
+    assert np.array_equal(_bits(ours), _bits(gamma(xs)))
+    assert S._gamma(1.0) == S._gamma(2.0) == 1.0
+
+
+def _cgmy_reference(C, G, M, Y, zero_drift, u):
+    # the closed form as written with scipy's gamma, evaluated per call
+    from scipy.special import gamma
+    iu = 1j * u
+    if Y == 1.0:
+        return -C * ((M + iu) * np.log((M + iu) / M) + (G - iu) * np.log((G - iu) / G))
+    if Y == 0.0:
+        a = C * (np.log((M + iu) / M) + np.log((G - iu) / G))
+    else:
+        m_y, g_y = np.complex128(M) ** Y, np.complex128(G) ** Y
+        a = -C * gamma(-Y) * ((M + iu) ** Y - m_y + (G - iu) ** Y - g_y)
+    if zero_drift:
+        a = a - iu * C * gamma(1.0 - Y) * (M ** (Y - 1.0) - G ** (Y - 1.0))
+    return a
+
+
+@pytest.mark.parametrize("zero_drift", [False, True])
+def test_cgmy_symbol_is_the_scipy_gamma_formula_bitwise(zero_drift):
+    rng = np.random.default_rng(11)
+    u = np.concatenate([[0.0], np.geomspace(1e-4, 1e5, 300), -np.geomspace(1e-4, 1e5, 300)])
+    for Y in [0.0, 0.5, 1.0, 1.5, 1.99, *rng.uniform(0.0, 2.0, 20)]:
+        C, G, M = rng.uniform(0.2, 3.0), rng.uniform(0.5, 9.0), rng.uniform(0.5, 9.0)
+        got = S.make_symbol(S.CGMYParams(C, G, M, Y, zero_drift=zero_drift))(u)
+        want = _cgmy_reference(C, G, M, Y, zero_drift or Y >= 1.0, u)
+        assert np.array_equal(_bits(got.view(float)), _bits(want.view(float))), Y
+
+
 # ---------------------------------------------------------------------------
 # multivariate and sums
 # ---------------------------------------------------------------------------
