@@ -4,6 +4,10 @@
 
 Tasks: symbol-eval | index | inequalities | evolve | price | density | catalog.
 
+Each task computes and returns its result; `run` writes it into the --out
+directory as <task>.json (provenance + result) and <task>.csv (provenance
+header + plot rows).  `inequalities` writes only inequalities.json.
+
 The config is a single flat JSON object; --set overrides file keys; --seed
 overrides the `seed` key.  Exit codes: 0 success, 1 numerical failure
 (quadrature/fit errors, surfaced with the failing operation), 2 config
@@ -211,7 +215,7 @@ def _provenance(cfg: dict) -> dict:
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return float.__repr__(v)
     return str(v)
 
 
@@ -246,25 +250,21 @@ def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
 # tasks
 # --------------------------------------------------------------------------
 
-def _task_symbol_eval(cfg, out_dir):
+def _task_symbol_eval(cfg):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     us = np.geomspace(_in_range("eval.u_min", _cfg(cfg, "eval.u_min"), 0.0),
                       _in_range("eval.u_max", _cfg(cfg, "eval.u_max"), 0.0),
                       _count(cfg, "eval.u_count"))
     us = np.concatenate([-us[::-1], [0.0], us])
-    vals = np.array([sym(float(u)) for u in us])
+    vals = sym(us)
     _stage(f"evaluated symbol at {len(us)} points")
-    write_json({"family": rec, "u": [float(u) for u in us],
-                "re_a": [float(v) for v in vals.real],
-                "im_a": [float(v) for v in vals.imag]}, cfg,
-               os.path.join(out_dir, "symbol-eval.json"))
-    emit_plot_data(zip(us.tolist(), vals.real.tolist(), vals.imag.tolist()),
-                   ["u", "re_a", "im_a"], cfg,
-                   os.path.join(out_dir, "symbol-eval.csv"))
+    u, re_a, im_a = us.tolist(), vals.real.tolist(), vals.imag.tolist()
+    return ({"family": rec, "u": u, "re_a": re_a, "im_a": im_a},
+            ["u", "re_a", "im_a"], zip(u, re_a, im_a))
 
 
-def _task_index(cfg, out_dir):
+def _task_index(cfg):
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     grid = _grid_spec(cfg)
@@ -273,40 +273,34 @@ def _task_index(cfg, out_dir):
         cross_check(report)
     _stage(f"index fit done: alpha_cont={report.alpha_cont:.4f} "
            f"sobolev_index={report.sobolev_index}")
-    write_json({"family": rec, **report.to_record()}, cfg,
-               os.path.join(out_dir, "index.json"))
     r, vals = report.rays
-    rows = []
-    for rad, v in zip(r, vals[0]):
-        if abs(v) > 0 and v.real > 0:
-            rows.append((float(np.log(rad)), float(np.log(abs(v))),
-                         float(np.log(v.real))))
-    emit_plot_data(rows, ["log_xi", "log_abs_a", "log_re_a"], cfg,
-                   os.path.join(out_dir, "index.csv"))
+    rows = [(float(np.log(rad)), float(np.log(abs(v))), float(np.log(v.real)))
+            for rad, v in zip(r, vals[0]) if abs(v) > 0 and v.real > 0]
+    return {"family": rec, **report.to_record()}, ["log_xi", "log_abs_a", "log_re_a"], rows
 
 
-def _task_inequalities(cfg, out_dir):
+def _task_inequalities(cfg):
     alpha = cfg.get("ineq.alpha")
     if alpha is not None:
         alpha = _in_range("ineq.alpha", _convert("ineq.alpha", alpha, float), 0.0, 2.0)
     trials = _count(cfg, "ineq.trials")
     sym, rec = build_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
+    grid = _grid_spec(cfg)
     if alpha is None:
-        report = index_verdict(sym, _grid_spec(cfg))
+        report = index_verdict(sym, grid)
         if report.sobolev_index is None:
             raise LevySobolevError(
                 "inequalities: no Sobolev index found; set ineq.alpha explicitly")
         alpha = report.sobolev_index
     fg = _freq_grid(cfg)
     form = spectral.verify_form_inequalities(
-        sym, float(alpha), trials, fg, seed=_cfg(cfg, "seed"), radial_grid=_grid_spec(cfg))
+        sym, float(alpha), trials, fg, seed=_cfg(cfg, "seed"), radial_grid=grid)
     _stage(f"form verification done: passed={form.passed} c2={form.garding_c2:.4g}")
-    write_json({"family": rec, **form.to_record()}, cfg,
-               os.path.join(out_dir, "inequalities.json"))
+    return {"family": rec, **form.to_record()}, None, None
 
 
-def _task_evolve(cfg, out_dir):
+def _task_evolve(cfg):
     T = _in_range("evolve.T", _cfg(cfg, "evolve.T"), 0.0)
     K = _count(cfg, "evolve.K")
     try:
@@ -325,14 +319,11 @@ def _task_evolve(cfg, out_dir):
     rows = zip(np.repeat(t_txt, len(xi_txt)).tolist(), np.tile(xi_txt, len(t_txt)).tolist(),
                values.real.tolist(), values.imag.tolist())
     l2 = [float(np.sqrt(np.sum(np.abs(f.values) ** 2) * fg.dxi)) for f in traj.fields]
-    write_json({"family": rec, "scheme": traj.scheme,
-                "times": [float(t) for t in traj.times], "l2_norms": l2}, cfg,
-               os.path.join(out_dir, "evolve.json"))
-    emit_plot_data(rows, ["t", "xi", "re", "im"], cfg,
-                   os.path.join(out_dir, "evolve.csv"))
+    return ({"family": rec, "scheme": traj.scheme, "times": traj.times.tolist(), "l2_norms": l2},
+            ["t", "xi", "re", "im"], rows)
 
 
-def _task_price(cfg, out_dir):
+def _task_price(cfg):
     sym, rec = build_symbol(cfg)
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)
@@ -340,15 +331,11 @@ def _task_price(cfg, out_dir):
     tau = _in_range("price.tau", _cfg(cfg, "price.tau"), 0.0, lo_open=False)
     vals = spectral.conditional_expectation(sym, g_hat, tau, xs)
     _stage(f"priced at {len(xs)} points")
-    write_json({"family": rec, "tau": tau,
-                "x": [float(x) for x in xs],
-                "value": [float(np.real(v)) for v in vals]}, cfg,
-               os.path.join(out_dir, "price.json"))
-    emit_plot_data(zip(xs.tolist(), np.real(vals).tolist()), ["x", "value"], cfg,
-                   os.path.join(out_dir, "price.csv"))
+    x, value = xs.tolist(), np.real(vals).tolist()
+    return {"family": rec, "tau": tau, "x": x, "value": value}, ["x", "value"], zip(x, value)
 
 
-def _task_density(cfg, out_dir):
+def _task_density(cfg):
     sym, rec = build_symbol(cfg)
     fg = _freq_grid(cfg)
     t = _in_range("density.t", _cfg(cfg, "density.t"), 0.0)
@@ -356,20 +343,16 @@ def _task_density(cfg, out_dir):
     vals = spectral.density(sym, t, xs, fg)
     mass = spectral.density_mass(sym, t, fg)
     _stage(f"density at {len(xs)} points, window mass={mass:.6f}")
-    write_json({"family": rec, "t": t, "mass": float(mass),
-                "x": [float(x) for x in xs], "value": [float(v) for v in vals]},
-               cfg, os.path.join(out_dir, "density.json"))
-    emit_plot_data(zip(xs.tolist(), vals.tolist()), ["x", "value"], cfg,
-                   os.path.join(out_dir, "density.csv"))
+    x, value = xs.tolist(), vals.tolist()
+    return ({"family": rec, "t": t, "mass": float(mass), "x": x, "value": value},
+            ["x", "value"], zip(x, value))
 
 
-def _task_catalog(cfg, out_dir):
+def _task_catalog(cfg):
     _stage(f"catalog: {len(CATALOG)} families")
-    write_json({"catalog": [{"family": f, "condition": c, "sobolev_index": i}
-                            for f, c, i in CATALOG]}, cfg,
-               os.path.join(out_dir, "catalog.json"))
-    emit_plot_data(CATALOG, ["family", "condition", "sobolev_index"], cfg,
-                   os.path.join(out_dir, "catalog.csv"))
+    return ({"catalog": [{"family": f, "condition": c, "sobolev_index": i}
+                         for f, c, i in CATALOG]},
+            ["family", "condition", "sobolev_index"], CATALOG)
 
 
 _RUNNERS = {
@@ -385,12 +368,16 @@ _TASKS = tuple(_RUNNERS)
 
 
 def run(cfg: dict, out_dir: str = ".") -> int:
-    """Execute the configured task; returns the process exit code."""
+    """Run the configured task, write <task>.json and <task>.csv into `out_dir`;
+    returns the process exit code."""
     task = cfg.get("task")
     if task not in _TASKS:
         raise ConfigError(f"task must be one of {_TASKS}, got {task!r}")
     os.makedirs(out_dir, exist_ok=True)
-    _RUNNERS[task](cfg, out_dir)
+    payload, columns, rows = _RUNNERS[task](cfg)
+    write_json(payload, cfg, os.path.join(out_dir, f"{task}.json"))
+    if columns is not None:
+        emit_plot_data(rows, columns, cfg, os.path.join(out_dir, f"{task}.csv"))
     return 0
 
 

@@ -337,11 +337,12 @@ def gh_expansion_density(C1: float, C2: float = 0.0, C3: float = 0.0,
                        f_s_exact=f_s, f_as_exact=f_as)
 
 
-def tabulated_density(x_points, f_values, y_hint=None, c_hint=None) -> LevyDensity:
+def tabulated_density(x_points, f_values) -> LevyDensity:
     """Log-log interpolation of (x, f(x)) samples, one branch per sign of x.
 
     Beyond the table each branch continues as the power law of its edge
-    segment.  The nodes are the density's knots.
+    segment.  The nodes are the density's knots.  The head hints y_hint and
+    c_hint are fitted on the innermost quarter of the x > 0 samples.
     """
     x_points = np.asarray(x_points, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
@@ -383,12 +384,11 @@ def tabulated_density(x_points, f_values, y_hint=None, c_hint=None) -> LevyDensi
     f_s = _off_origin(lambda ax: half(ax, 1.0))
     f_as = _off_origin(lambda ax: half(ax, -1.0), odd=True)
 
-    if y_hint is None:
-        lx, lf = lx_pos[1:-1], lf_pos[1:-1]
-        inner = slice(0, max(2, len(lx) // 4))
-        slope = linear_fit(lx[inner], lf[inner])[0]
-        y_hint = float(np.clip(-slope - 1.0, 0.0, 1.999))
-        c_hint = float(np.exp(lf[0] + (1.0 + y_hint) * lx[0]))
+    lx, lf = lx_pos[1:-1], lf_pos[1:-1]
+    inner = slice(0, max(2, len(lx) // 4))
+    slope = linear_fit(lx[inner], lf[inner])[0]
+    y_hint = float(np.clip(-slope - 1.0, 0.0, 1.999))
+    c_hint = float(np.exp(lf[0] + (1.0 + y_hint) * lx[0]))
     return LevyDensity(f=f, y_hint=y_hint, c_hint=c_hint, finite_variation=None,
                        cutoff=float(np.abs(x_points).max()), name="tabulated",
                        f_s_exact=f_s, f_as_exact=f_as,

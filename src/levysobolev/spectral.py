@@ -21,8 +21,7 @@ grid with one FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Callable, ClassVar
@@ -508,10 +509,14 @@ def make_symbol(params, d: int | None = None) -> Symbol:
         return measures.density_symbol(measures.power_law_density(params.coef, params.Y), b=0.0)
     elif isinstance(params, TabulatedParams):
         try:
-            data = np.loadtxt(params.path, delimiter=",", comments="#", ndmin=2)
-            x, f = data[:, 0], data[:, 1]
-        except (OSError, ValueError, IndexError) as exc:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(params.path, delimiter=",", comments="#", ndmin=2)
+        except (OSError, ValueError) as exc:
             raise InvalidParams(f"cannot read x,f rows of {params.path!r}: {exc}") from exc
+        if data.shape[0] == 0 or data.shape[1] < 2:
+            raise InvalidParams(f"tabulated file {params.path!r} has no x,f rows")
+        x, f = data[:, 0], data[:, 1]
         from . import measures
         return measures.density_symbol(measures.tabulated_density(x, f))
     else:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -148,10 +149,15 @@ def test_bad_process_record_exit_2(tmp_path, capsys, record, named):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(record))
     out = tmp_path / "o"
-    code = cli.main(["symbol-eval", "--config", str(cfg), "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["symbol-eval", "--config", str(cfg), "--out", str(out)])
     assert code == 2
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+    if named in ("one-column.csv", "empty.csv"):
+        assert "has no x,f rows" in err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -358,6 +364,62 @@ def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypat
     assert len(rows) == 1 + 17
 
 
+def test_symbol_eval_calls_its_symbol_once(tmp_path, monkeypatch):
+    calls = []
+    make = cli.make_symbol
+
+    def counting_make(params):
+        sym = make(params)
+
+        def fn(pts):
+            calls.append(len(pts))
+            return sym.fn(pts)
+        return dataclasses.replace(sym, fn=fn)
+
+    monkeypatch.setattr(cli, "make_symbol", counting_make)
+    cfg = {"task": "symbol-eval", "process.family": "cgmy", "process.C": 1.0,
+           "process.G": 5.0, "process.M": 5.0, "process.Y": 1.5}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    assert calls == [2 * 64 + 1]
+
+
+_CGMY = {"process.family": "cgmy", "process.C": 1.0, "process.G": 4.0, "process.M": 7.0}
+
+
+@pytest.mark.parametrize("record", [
+    {"process.family": "brownian", "process.sigma": 0.7, "process.b": 0.3},
+    {"process.family": "nig", "process.alpha": 3.0, "process.beta": -1.2,
+     "process.delta": 0.8, "process.mu": 0.1},
+    {"process.family": "cauchy", "process.c": 2.0, "process.gamma": -0.4},
+    {"process.family": "student_t", "process.f": 3.0, "process.mu": 0.2},
+    {"process.family": "stable1d", "process.alpha": 0.7, "process.c": 1.3},
+    {"process.family": "stable1d", "process.alpha": 1.0, "process.beta": 0.6},
+    *({**_CGMY, "process.Y": Y} for Y in (0.0, 0.5, 1.0, 1.5)),
+    {**_CGMY, "process.Y": 0.5, "process.zero_drift": True},
+], ids=lambda rec: "-".join(str(v) for v in rec.values()))
+def test_symbol_eval_matches_per_point_calls_bitwise(tmp_path, record):
+    cfg = {"task": "symbol-eval", **record}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    res = json.loads((tmp_path / "symbol-eval.json").read_text())["result"]
+    sym, _ = cli.build_symbol(cfg)
+    ref = [sym(float(u)) for u in res["u"]]
+    assert [v.hex() for v in res["re_a"]] == [v.real.hex() for v in ref]
+    assert [v.hex() for v in res["im_a"]] == [v.imag.hex() for v in ref]
+
+
+@pytest.mark.parametrize("task", cli._TASKS)
+def test_run_writes_the_task_json_and_csv(tmp_path, task):
+    cfg = {"task": task, "process.family": "cauchy", "process.c": 1.0,
+           "freq.N": 256, "freq.Xi": 32.0, "evolve.K": 2, "ineq.trials": 5,
+           "grid.r_max": 1e4, "grid.points_per_decade": 4, "grid.directions": 4,
+           "eval.u_count": 4, "price.x_count": 5, "density.x_count": 5}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    expected = {f"{task}.json"} if task == "inequalities" else {f"{task}.json", f"{task}.csv"}
+    assert {p.name for p in tmp_path.iterdir()} == expected
+    doc = json.loads((tmp_path / f"{task}.json").read_text())
+    assert doc["provenance"]["task"] == task
+
+
 def test_emit_plot_data_refuses_empty(tmp_path):
     with pytest.raises(IoError, match="empty result"):
         cli.emit_plot_data([], ["a"], {}, str(tmp_path / "x.csv"))
@@ -369,6 +431,8 @@ def test_emit_plot_data_matches_per_cell_format(tmp_path):
             (1.0, -float("inf"), 0.1 + 0.2, -1e300, -7, "alpha^2 > <beta, Delta beta>"),
             (2.5, 1e-17, 0.25, True, 0, "none")]
     rows += [(f, c, i, 1.0, 2, f) for f, c, i in CATALOG]
+    rows += [(np.float64(0.5), np.float64(-0.0), np.float64(0.1) + np.float64(0.2),
+              np.float64("nan"), np.float64(1e-300), "np")]
     cfg = {"process.family": "cauchy", "freq.Xi": 16.0}
     path = tmp_path / "p.csv"
     cli.emit_plot_data(rows, ["a", "b", "c", "d", "e", "f"], cfg, str(path))
@@ -377,6 +441,8 @@ def test_emit_plot_data_matches_per_cell_format(tmp_path):
     head += [f"# {k}={cli._fmt(v)}" for k, v in cli._provenance(cfg).items()]
     body = [",".join(cli._fmt(v) for v in row) for row in rows]
     assert path.read_text() == "\n".join([*head, "a,b,c,d,e,f", *body]) + "\n"
+    # numpy floats format as the Python floats of the same value
+    assert body[-1] == "0.5,-0.0,0.30000000000000004,nan,1e-300,np"
 
 
 def test_load_config_rejects_non_object(tmp_path):

@@ -265,7 +265,8 @@ def test_cgmy_parts_match_closed_form_real():
     assert a_fs == pytest.approx(sym(10.0).real, rel=1e-6)
 
 
-@pytest.mark.parametrize("Y", [0.5, 1.0, 1.5, 1.8])
+@pytest.mark.parametrize("Y", [0.5, 1.0, 1.5, pytest.param(1.8, marks=pytest.mark.filterwarnings(
+    "ignore::scipy.integrate.IntegrationWarning"))])
 def test_closed_form_vs_quadrature_cgmy(Y):
     # full-symbol agreement on |u| <= 100 at 1e-6 relative; the closed form
     # is the natural-drift symbol A_fs + i S(u) below Y = 1 and the
@@ -326,6 +327,7 @@ def test_symbol_parts_quad_call_count(density, calls, monkeypatch):
     assert count[0] == calls
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_nonfinite_part_raises_quadrature_failure():
     f = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.5
 
@@ -358,6 +360,7 @@ def test_quadrature_refinement_stable():
         assert abs(a1 - a2) <= 1e-8 * abs(a1)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_refined_call_validates_against_a_deeper_run():
     # the table without its knots: the panels straddle its kinks, so the
     # error estimate at u = 3 and refine = 2 (3.3e-8) misses the 1e-8

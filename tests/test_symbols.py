@@ -58,6 +58,7 @@ def test_nig_value(nig_sym):
     assert nig_sym(1.0).imag == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_cgmy_matches_quadrature_oracle(cgmy15):
     # independent oracle: adaptive quadrature of the Levy integral
     C, G, M, Y, u = 1.0, 5.0, 5.0, 1.5, 10.0
