@@ -13,7 +13,6 @@ from .errors import (
     LevySobolevError,
     MissingField,
     NonpositiveRealPart,
-    NotOneDimensional,
     QuadratureFailure,
     TailTooFat,
     TailUnbounded,
@@ -51,14 +50,12 @@ from .symbols import (
     CauchyParams,
     CGMYParams,
     GHParams,
-    LevyTriplet,
     NIGParams,
     PowerLawParams,
     Stable1dParams,
     StudentTParams,
     Symbol,
     TabulatedParams,
-    Truncation,
     check_semistable_scaling,
     make_symbol,
     params_from_record,

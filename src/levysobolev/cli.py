@@ -27,7 +27,8 @@ Config keys (defaults in _DEFAULTS below, echoed into every output):
   process.<param>       its params dataclass fields, e.g. process.C; tabulated:
                         path of a CSV of x,f rows; echoed as result.family
   grid.r_min/r_max/points_per_decade/directions    radial fit grid
-  freq.N/Xi             frequency grid (d = 1 for CLI tasks)
+  freq.N/Xi             frequency grid (d = 1; symbol-eval, inequalities, evolve,
+                        price and density refuse a d = 2 process, exit 2)
   index.tol             agreement tolerance for the Sobolev index
   ineq.alpha/trials     bilinear form verification
   evolve.T/K/scheme     time stepping
@@ -156,6 +157,16 @@ def build_symbol(cfg: dict) -> tuple[Symbol, dict]:
         raise ConfigError(str(exc)) from exc
 
 
+def _build_1d_symbol(cfg: dict) -> tuple[Symbol, dict]:
+    """build_symbol for the tasks that evaluate the symbol at real u or on the
+    1-d frequency grid; a d > 1 process is a config error."""
+    sym, rec = build_symbol(cfg)
+    if sym.d != 1:
+        raise ConfigError(f"process.*: a d = {sym.d} process; this task runs on "
+                          f"d = 1 processes only")
+    return sym, rec
+
+
 def _grid_spec(cfg: dict) -> GridSpec:
     try:
         return GridSpec(
@@ -251,7 +262,7 @@ def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
 # --------------------------------------------------------------------------
 
 def _task_symbol_eval(cfg):
-    sym, rec = build_symbol(cfg)
+    sym, rec = _build_1d_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     us = np.geomspace(_in_range("eval.u_min", _cfg(cfg, "eval.u_min"), 0.0),
                       _in_range("eval.u_max", _cfg(cfg, "eval.u_max"), 0.0),
@@ -284,7 +295,7 @@ def _task_inequalities(cfg):
     if alpha is not None:
         alpha = _in_range("ineq.alpha", _convert("ineq.alpha", alpha, float), 0.0, 2.0)
     trials = _count(cfg, "ineq.trials")
-    sym, rec = build_symbol(cfg)
+    sym, rec = _build_1d_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
     grid = _grid_spec(cfg)
     if alpha is None:
@@ -307,7 +318,7 @@ def _task_evolve(cfg):
         scheme = spectral.scheme_name(_cfg(cfg, "evolve.scheme"))
     except InvalidParams as exc:
         raise ConfigError(f"evolve.scheme: {exc}") from exc
-    sym, rec = build_symbol(cfg)
+    sym, rec = _build_1d_symbol(cfg)
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)
     traj = spectral.evolve(sym, g_hat, None, T, K, scheme)
@@ -324,7 +335,7 @@ def _task_evolve(cfg):
 
 
 def _task_price(cfg):
-    sym, rec = build_symbol(cfg)
+    sym, rec = _build_1d_symbol(cfg)
     fg = _freq_grid(cfg)
     g_hat = _payoff_hat(cfg, fg)
     xs = _x_points(cfg, "price")
@@ -336,7 +347,7 @@ def _task_price(cfg):
 
 
 def _task_density(cfg):
-    sym, rec = build_symbol(cfg)
+    sym, rec = _build_1d_symbol(cfg)
     fg = _freq_grid(cfg)
     t = _in_range("density.t", _cfg(cfg, "density.t"), 0.0)
     xs = _x_points(cfg, "density")

@@ -13,10 +13,6 @@ class EvalOverflow(LevySobolevError):
     """Intermediate magnitudes left the representable range."""
 
 
-class NotOneDimensional(LevySobolevError):
-    """Operation is defined for real-valued (d=1) processes only."""
-
-
 class QuadratureFailure(LevySobolevError):
     """Requested quadrature tolerance could not be met."""
 

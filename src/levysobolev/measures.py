@@ -29,9 +29,12 @@ the cutoff the plain masses int w over the panels do not depend on u; they
 sit on the decade ladder eps*10^k and are cached on the density, panel by
 panel.
 
-The antisymmetric part requires int |x f_as| dx < infinity; that precondition
-is probed numerically and DivergentIntegral raised when it fails.  QUADPACK
-passes one float at a time; the built-in parts evaluate it as a numpy scalar.
+The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
+h(x) = x, over the large jumps; that precondition is probed numerically and
+DivergentIntegral raised when it fails.  With an infinite cutoff, the mass
+of f_s beyond the outer limit r_eff is added to A_fs when r_eff stops at
+its cap.  QUADPACK passes one float at a time; the built-in parts evaluate
+it as a numpy scalar.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from scipy.integrate import quad
 from scipy.special import kve
 
 from .errors import DivergentIntegral, FitUnstable, Inconsistent, InvalidParams, \
-    NotOneDimensional, QuadratureFailure
+    QuadratureFailure
 from .fitting import linear_fit
 from .symbols import Symbol, _gamma, symbol_from_callable
 
@@ -87,8 +90,10 @@ class LevyDensity:
     The density carries its parts f = f_s + f_as, f_s even and f_as odd,
     checked at construction for symmetry and |f_as| <= f_s, and a cache of
     the u-independent quadrature results, ("m1", eps) and (tag, a, b) per
-    panel, and of a passed f_as integrability probe; a copy made by
-    `dataclasses.replace` starts with an empty cache.
+    panel, of the f_s mass beyond r_eff, of whether f_as vanishes and of a
+    passed f_as integrability probe; a copy made by `dataclasses.replace`
+    starts with an empty cache.  InvalidParams when f raises TypeError or
+    ValueError on a float array.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -97,7 +102,6 @@ class LevyDensity:
     finite_variation: Optional[bool] = None
     cutoff: float = np.inf
     name: str = "density"
-    d: int = 1
     f_s_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_as_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     levy_condition_proven: bool = False
@@ -105,12 +109,14 @@ class LevyDensity:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.d != 1:
-            raise NotOneDimensional("densities are one-dimensional here")
         if self.y_hint is not None and not 0.0 <= self.y_hint < 2.0:
             raise InvalidParams("singularity hint Y must lie in [0, 2)")
         xs = np.geomspace(1e-8, min(self.cutoff, 1e3), 40)
-        vals = np.concatenate([self.f(xs), self.f(-xs)])
+        try:
+            vals = np.concatenate([self.f(xs), self.f(-xs)])
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"{self.name}: f failed on a float array "
+                                f"({type(exc).__name__}: {exc})") from exc
         if np.any(vals < -1e-12 * (1.0 + np.abs(vals))):
             raise InvalidParams(f"{self.name}: density must be nonnegative")
         if not self.levy_condition_proven and not _levy_condition_holds(self):
@@ -401,8 +407,6 @@ def tabulated_density(x_points, f_values) -> LevyDensity:
 
 def split_symmetric(density: LevyDensity) -> LevyDensity:
     """The density itself: it carries its checked parts f_s and f_as."""
-    if density.d != 1:
-        raise NotOneDimensional("split requires d = 1")
     return density
 
 
@@ -582,10 +586,14 @@ def _first_moment_as(density: LevyDensity, eps: float):
 
 
 def _check_as_integrable(density: LevyDensity) -> None:
-    """DivergentIntegral unless int |x f_as| dx converges at 0; a pass is cached.
+    """DivergentIntegral unless int |x f_as| dx converges; a pass is cached.
 
-    The exponent is fitted over six decades below EPS_INNER, or below the
-    smallest knot: a fit across it would mix the table with its extrapolated head.
+    At 0 the exponent is fitted over six decades below EPS_INNER, or below
+    the smallest knot: a fit across it would mix the table with its
+    extrapolated head.  With an infinite cutoff the truncation h(x) = x also
+    needs the large-jump moment int_{|x|>1} |x f_as| dx: its trapezoid sum on
+    [1, 1e4] may grow over the upper half of the range by at most 5% of the
+    total.  A symmetric heavy tail has f_as = 0 and passes.
     """
     if ("as_integrable",) in density._cache:
         return
@@ -599,7 +607,43 @@ def _check_as_integrable(density: LevyDensity) -> None:
                 f"{density.name}: int |x f_as(x)| dx appears divergent near 0 "
                 f"(local exponent {slope:.3f})"
             )
+    if np.isinf(density.cutoff):
+        xs = np.geomspace(1.0, 1e4, 200)
+        vals = xs * (np.abs(density.f_as(xs)) + np.abs(density.f_as(-xs)))
+        partial = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))
+        if not partial[-1] - partial[len(partial) // 2] <= 0.05 * partial[-1] + 1e-30:
+            raise DivergentIntegral(
+                f"{density.name}: truncation h(x) = x needs int_{{|x|>1}} |x f_as(x)| dx "
+                f"< inf, which appears divergent"
+            )
     density._cache[("as_integrable",)] = True
+
+
+def _has_as(density: LevyDensity) -> bool:
+    """Whether f_as is nonzero at 256 log points on [1e-10, r_eff] or a knot; cached."""
+    if ("has_as",) not in density._cache:
+        xs = np.concatenate([np.geomspace(1e-10, density.r_eff, 256), density.knots])
+        density._cache[("has_as",)] = not np.all(np.abs(density.f_as(xs)) < 1e-250)
+    return density._cache[("has_as",)]
+
+
+def _mass_beyond_r_eff(density: LevyDensity):
+    """(2 int_{r_eff}^inf f_s dx, its error, 4 f_s(r_eff)); cached.
+
+    Zeros unless the cutoff is infinite and r_eff stopped at its cap with
+    f_s(r) r^2 > 1e-20.  The substitution x = r/s maps the tail to (0, 1]:
+    QUADPACK's own map of [r, inf) misses such a slowly decaying tail.  For
+    a decreasing f_s, 4 f_s(r)/|u| bounds the dropped 2 int_r^inf cos(ux) f_s.
+    """
+    if ("beyond",) not in density._cache:
+        r = density.r_eff
+        f_r = float(density.f_s(np.array([r]))[0])
+        out = (0.0, 0.0, 0.0)
+        if np.isinf(density.cutoff) and f_r * r * r > 1e-20:
+            val, e = quad(lambda s: r * density.f_s(r / s) / (s * s), 0.0, 1.0, **_QUAD_KW)
+            out = (2.0 * val, 2.0 * abs(e), 4.0 * f_r)
+        density._cache[("beyond",)] = out
+    return density._cache[("beyond",)]
 
 
 def symbol_parts_from_density(density: LevyDensity, u: float,
@@ -666,12 +710,12 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
                                         anchor=eps, tag="g")
         outer, e2 = _one_minus_cos_region(density, density.f_s, eps, density.r_eff, u, kw,
                                           skip_tol, anchor=eps, tag="fs")
-        err_acc += e1 + e2
-        a_fs = head + 2.0 * (rem + outer)
+        beyond, e3, env = _mass_beyond_r_eff(density)
+        err_acc += e1 + e2 + e3 + env / au
+        a_fs = head + 2.0 * (rem + outer) + beyond
 
     # ---- antisymmetric part
-    fa_probe = np.abs(density.f_as(np.array([eps / 3, eps, 3 * eps])))
-    if np.all(fa_probe < 1e-250):
+    if not _has_as(density):
         a_fas = 0.0j
     else:
         _check_as_integrable(density)

@@ -38,7 +38,11 @@ _SCHEMES = {"exact": "exact",
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Equi-spaced modes xi_k = -Xi + k*dxi, k = 0..N-1, per axis."""
+    """Equi-spaced modes xi_k = (k - N/2) dxi, k = 0..N-1, per axis, dxi = 2 Xi/N.
+
+    Mode N/2 is exactly 0 and modes k, N - k are exact negatives, the layout
+    that the chirp-z inversion, density_grid and the mirror k -> N - k assume.
+    """
 
     d: int
     N: int
@@ -61,7 +65,7 @@ class FrequencyGrid:
         return 2.0 * np.pi / self.dxi
 
     def axis(self) -> np.ndarray:
-        return -self.Xi + self.dxi * np.arange(self.N)
+        return (np.arange(self.N) - self.N // 2) * self.dxi
 
     def points(self) -> np.ndarray:
         """All modes as an (N^d, d) array, row-major in the axis indices."""

@@ -19,7 +19,6 @@ scaled form K_v(z) e^z so the log subtraction stays finite out to |u| ~ 1e6.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -33,13 +32,6 @@ from .errors import EvalOverflow, InvalidParams
 _SANITY_POINTS = 64
 _HERMITIAN_TOL = 1e-10
 _REAL_PART_TOL = 1e-10
-
-
-class Truncation(enum.Enum):
-    """Drift convention h of the Levy-Khintchine formula."""
-
-    IDENTITY = "identity"       # h(x) = x (special semimartingale)
-    UNIT_BALL = "unit_ball"     # h(x) = x * 1_{|x|<1}
 
 
 # --------------------------------------------------------------------------
@@ -156,56 +148,6 @@ def _check_symmetric_psd(m: np.ndarray, name: str, tol: float = 1e-12) -> None:
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     if eigs.min() < -tol:
         raise InvalidParams(f"{name} must be positive semidefinite (min eigenvalue {eigs.min():g})")
-
-
-# --------------------------------------------------------------------------
-# triplet
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevyTriplet:
-    """Characteristics (b, sigma, F) with an explicit truncation convention.
-
-    `levy_density` is any object exposing a vectorized density ``f`` and an
-    optional ``finite_variation`` flag (see measures.LevyDensity); it is only
-    inspected, never imported, to keep this module density-free.
-    """
-
-    dimension: int
-    b: np.ndarray
-    sigma: np.ndarray
-    levy_density: object | None = None
-    truncation: Truncation = Truncation.IDENTITY
-
-    def __post_init__(self):
-        d = self.dimension
-        if d < 1:
-            raise InvalidParams("dimension must be a positive integer")
-        object.__setattr__(self, "b", _as_vector(self.b, d, "b"))
-        object.__setattr__(self, "sigma", _as_matrix(self.sigma, d, "sigma"))
-        _check_symmetric_psd(self.sigma, "sigma")
-        if self.truncation is Truncation.IDENTITY and self.levy_density is not None:
-            if not _density_has_finite_compensator(self.levy_density):
-                raise InvalidParams(
-                    "truncation h(x)=x requires int_{|x|>1} |x| f(x) dx < infinity"
-                )
-
-
-def _density_has_finite_compensator(density) -> bool:
-    # With h(x)=x the compensator needs the *large*-jump first moment. Trust a
-    # declared tag for the small-jump side; probe the tail numerically.
-    xs = np.geomspace(1.0, 1e4, 200)
-    try:
-        vals = xs * (np.abs(density.f(xs)) + np.abs(density.f(-xs)))
-    except Exception as exc:
-        raise InvalidParams(
-            f"levy_density.f failed on a float array ({type(exc).__name__}: {exc})"
-        ) from exc
-    partial = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))
-    if partial[-1] == 0.0:
-        return True
-    tail_growth = partial[-1] - partial[len(partial) // 2]
-    return bool(tail_growth <= 0.05 * partial[-1] + 1e-30)
 
 
 # --------------------------------------------------------------------------

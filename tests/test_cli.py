@@ -135,6 +135,19 @@ def test_bad_integer_value_exit_2(tmp_path, capsys, task, override):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("task", ["symbol-eval", "inequalities", "evolve", "price", "density"])
+def test_two_dimensional_process_exit_2(tmp_path, capsys, task):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"process.family": "nig", "process.alpha": 10.0,
+                               "process.beta": "0.5,-0.3", "process.mu": "0,0",
+                               "freq.N": 64, "ineq.alpha": 1.0}))
+    out = tmp_path / "o"
+    assert cli.main([task, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "d = 2" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("record,named", [
     ({"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0, "process.M": 5.0},
      "process.Y"),

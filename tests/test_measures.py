@@ -12,7 +12,6 @@ from levysobolev.errors import (
     DivergentIntegral,
     Inconsistent,
     InvalidParams,
-    NotOneDimensional,
     QuadratureFailure,
 )
 
@@ -82,11 +81,11 @@ def test_levy_condition_proven_by_family_parameters(monkeypatch):
         assert d.levy_condition_proven
 
 
-def test_split_requires_one_dimension():
-    d = M.cgmy_density(1.0, 5.0, 5.0, 0.5)
-    object.__setattr__(d, "d", 2)
-    with pytest.raises(NotOneDimensional):
-        M.split_symmetric(d)
+def test_density_failing_on_arrays_raises_invalid_params():
+    scalar_only = lambda x: float(np.exp(-abs(x)))  # TypeError on arrays of size > 1
+    with pytest.raises(InvalidParams, match="failed on a float array") as info:
+        M.LevyDensity(f=scalar_only, cutoff=50.0)
+    assert isinstance(info.value.__cause__, TypeError)
 
 
 def test_density_checks_its_parts_when_built():
@@ -458,6 +457,54 @@ def test_divergent_antisymmetric_first_moment():
     sp = M.split_symmetric(d)
     with pytest.raises(DivergentIntegral):
         M.symbol_parts_from_density(sp, 2.0)
+
+
+def _heavy_skew_tail():
+    # x f_as ~ x^{-1/2}/2 at infinity: h(x) = x has no compensator
+    f = lambda x: (1.0 + 0.5 * np.sign(x)) / (np.abs(x) ** 0.5 * (1.0 + np.abs(x)))
+    return M.LevyDensity(f=f, cutoff=np.inf, name="heavy-skew")
+
+
+def test_identity_truncation_needs_the_large_jump_moment():
+    with pytest.raises(DivergentIntegral, match=r"h\(x\) = x"):
+        M.symbol_parts_from_density(_heavy_skew_tail(), 1.0)
+    with pytest.raises(DivergentIntegral, match=r"h\(x\) = x"):
+        M.density_symbol(_heavy_skew_tail())(1.0)
+
+
+def test_symmetric_heavy_tails_still_evaluate():
+    from scipy.special import beta, gamma, kv
+    # f_as = 0, so no first moment is needed however heavy the tail
+    a_fs, a_fas = M.symbol_parts_from_density(M.power_law_density(1.0, 0.5), 3.0)
+    assert a_fs == pytest.approx(2.0 * 3.0 ** 0.5 * M._head_total(0.5), rel=1e-10)
+    assert a_fas == 0.0
+    # f = (1+x^2)^{-3/4} keeps f_s(r) r^2 > 1e-20 past the r_eff cap 2^30;
+    # the mass beyond it (about 1.2e-4) is part of A_fs
+    d = M.LevyDensity(f=lambda x: (1.0 + np.asarray(x, dtype=float) ** 2) ** -0.75,
+                      cutoff=np.inf, name="t-like")
+    for u in (1.0, 10.0):
+        exact = beta(0.5, 0.25) - 2.0 * np.sqrt(np.pi) / gamma(0.75) \
+            * (u / 2.0) ** 0.25 * kv(0.25, u)
+        a_fs, a_fas = M.symbol_parts_from_density(d, u)
+        assert abs(a_fs - exact) <= 1e-9 * (1.0 + u * u)
+        assert a_fas == 0.0
+
+
+def test_antisymmetric_part_away_from_the_origin():
+    # f_as = 0 on |x| <= 1: the antisymmetric part is found on the whole range
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.exp(-ax) * ax ** -1.5 * (1.0 + 0.5 * np.sign(x) * (ax > 1.0))
+        return np.where(ax > 0, out, 0.0)
+    d = M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0, cutoff=60.0, name="outer-skew")
+    for u in (1.0, 5.0):
+        ref = quad(lambda x: (np.sin(u * x) - u * x) * np.exp(-x) * x ** -1.5, 1.0, 60.0,
+                   epsabs=1e-15, limit=200)[0]
+        _, a_fas = M.symbol_parts_from_density(d, u)
+        assert a_fas.real == 0.0
+        assert a_fas.imag == pytest.approx(ref, abs=1e-12)
 
 
 def test_asymmetric_table_head_is_divergent():

@@ -43,6 +43,17 @@ def test_grid_validation():
     assert g.spatial_period == pytest.approx(2.0 * np.pi)
 
 
+def test_modes_pair_as_exact_negatives():
+    # xi_k = (k - N/2) dxi: mode N/2 is 0 and modes k, N - k negate exactly,
+    # the layout the chirp-z inversion, density_grid and the mirror assume
+    for Xi in np.random.default_rng(3).uniform(0.1, 500.0, 100).tolist():
+        for N in (64, 4096):
+            ax = SP.FrequencyGrid(1, N, Xi).axis()
+            k = np.arange(1, N)
+            assert np.array_equal(ax[N - k], -ax[k])
+            assert ax[N // 2] == 0.0 and ax[0] == pytest.approx(-Xi, rel=1e-15)
+
+
 def test_conj_symmetry_detection(grid, rng):
     real_spatial = SP.SpectralField.from_function(
         grid, lambda xi: np.exp(-xi**2) * (np.cos(xi) + 1j * np.sin(xi)))

@@ -34,6 +34,8 @@ def test_cgmy_y_range():
 def test_sigma_must_be_psd():
     with pytest.raises(InvalidParams, match="semidefinite"):
         S.make_symbol(S.BrownianParams(sigma=((1.0, 0.0), (0.0, -1.0)), b=(0.0, 0.0)))
+    with pytest.raises(InvalidParams, match="semidefinite"):
+        S.make_symbol(S.BrownianParams(sigma=-1.0, b=0.0))
     with pytest.raises(InvalidParams, match="symmetric"):
         S.make_symbol(S.BrownianParams(sigma=((1.0, 0.5), (0.0, 1.0)), b=(0.0, 0.0)))
 
@@ -412,38 +414,3 @@ def test_symbols_without_a_density():
     with pytest.raises(InvalidParams, match="alpha > 0"):
         S.make_symbol(S.NIGParams(alpha=-10.0))
 
-
-# ---------------------------------------------------------------------------
-# triplet
-# ---------------------------------------------------------------------------
-
-
-def test_triplet_validation():
-    t = S.LevyTriplet(1, 0.0, 1.0)
-    assert t.sigma.shape == (1, 1)
-    with pytest.raises(InvalidParams):
-        S.LevyTriplet(1, 0.0, -1.0)
-
-
-def test_triplet_identity_truncation_needs_tail_moment():
-    from levysobolev import measures as M
-    heavy = M.LevyDensity(f=lambda x: 1.0 / (1.0 + np.abs(np.asarray(x)) ** 1.5),
-                          finite_variation=False, cutoff=np.inf, name="heavy")
-    with pytest.raises(InvalidParams, match="h\\(x\\)=x"):
-        S.LevyTriplet(1, 0.0, 0.0, levy_density=heavy,
-                      truncation=S.Truncation.IDENTITY)
-    # unit-ball truncation accepts the same tail
-    S.LevyTriplet(1, 0.0, 0.0, levy_density=heavy, truncation=S.Truncation.UNIT_BALL)
-
-
-def test_triplet_density_failing_on_arrays_raises_invalid_params():
-    class ScalarOnly:
-        finite_variation = None
-
-        @staticmethod
-        def f(x):
-            return float(np.exp(-abs(x)))  # TypeError on arrays of size > 1
-
-    with pytest.raises(InvalidParams, match="failed on a float array") as info:
-        S.LevyTriplet(1, 0.0, 0.0, levy_density=ScalarOnly())
-    assert isinstance(info.value.__cause__, TypeError)
