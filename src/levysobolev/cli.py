@@ -29,7 +29,8 @@ Config keys (defaults in _DEFAULTS below, echoed into every output):
   grid.r_min/r_max/points_per_decade/directions    radial fit grid
   freq.N/Xi             frequency grid (d = 1; symbol-eval, inequalities, evolve,
                         price and density refuse a d = 2 process, exit 2)
-  index.tol             agreement tolerance for the Sobolev index
+  index.tol             agreement tolerance for the Sobolev index, also that of
+                        inequalities when ineq.alpha is unset
   ineq.alpha/trials     bilinear form verification
   evolve.T/K/scheme     time stepping
   payoff.kind/width/center/order    gaussian | hermite test payoffs
@@ -50,7 +51,8 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError, InvalidParams, IoError, LevySobolevError
-from .indices import CATALOG, GridSpec, cross_check, index_verdict, sobolev_index
+from .indices import CATALOG, GridSpec, cross_check, fit_garding_exponent, index_verdict, \
+    sobolev_index
 from .symbols import Symbol, make_symbol, params_from_record, params_to_record
 
 _DEFAULTS = {
@@ -297,16 +299,18 @@ def _task_inequalities(cfg):
     trials = _count(cfg, "ineq.trials")
     sym, rec = _build_1d_symbol(cfg)
     _stage(f"built symbol family={rec.get('family')}")
-    grid = _grid_spec(cfg)
+    grid, slope = _grid_spec(cfg), None
     if alpha is None:
-        report = index_verdict(sym, grid)
+        report = index_verdict(sym, grid, tol=_in_range("index.tol", _cfg(cfg, "index.tol"), 0.0))
         if report.sobolev_index is None:
             raise LevySobolevError(
                 "inequalities: no Sobolev index found; set ineq.alpha explicitly")
-        alpha = report.sobolev_index
+        alpha, slope = report.sobolev_index, report.alpha_gard
     fg = _freq_grid(cfg)
+    if slope is None:  # ineq.alpha is set
+        slope = fit_garding_exponent(sym, grid)[0]
     form = spectral.verify_form_inequalities(
-        sym, float(alpha), trials, fg, seed=_cfg(cfg, "seed"), radial_grid=grid)
+        sym, float(alpha), trials, fg, seed=_cfg(cfg, "seed"), garding_slope=slope)
     _stage(f"form verification done: passed={form.passed} c2={form.garding_c2:.4g}")
     return {"family": rec, **form.to_record()}, None, None
 

@@ -354,13 +354,12 @@ def analytic_index(family) -> Optional[float]:
 
 
 def smoothness_moments(symbol: Symbol, t: float, n_max: int,
-                       grid: GridSpec = GridSpec(),
-                       tail_rel: float = 1e-8) -> list[float]:
+                       grid: GridSpec = GridSpec()) -> list[float]:
     """Moments M_n = int |xi|^n |mu_hat_t(xi)| dxi for n = 0..n_max (d = 1).
 
     |mu_hat_t(xi)| = e^{-t Re A(xi)}; the integral is truncated where the
     fitted Garding bound Re A >= c2 |xi|^alpha certifies a tail remainder
-    below tail_rel * M_n (closed form via the upper incomplete gamma).
+    below 1e-8 M_n (closed form via the upper incomplete gamma).
     """
     if symbol.d != 1:
         raise InvalidParams("moments are implemented for d = 1")
@@ -394,11 +393,11 @@ def smoothness_moments(symbol: Symbol, t: float, n_max: int,
     for n in range(n_max + 1):
         cut = 10.0
         main = 2.0 * quad(lambda x: integrand(x, n), 0.0, cut, limit=200)[0]
-        while tail_bound(n, cut) > tail_rel * max(main, 1e-300) and cut < grid.r_max:
+        while tail_bound(n, cut) > 1e-8 * max(main, 1e-300) and cut < grid.r_max:
             new = 2.0 * quad(lambda x: integrand(x, n), cut, 2.0 * cut, limit=200)[0]
             main += new
             cut *= 2.0
-        if tail_bound(n, cut) > tail_rel * main:
+        if tail_bound(n, cut) > 1e-8 * main:
             raise TailUnbounded(f"tail certificate not reached for n = {n}")
         moments.append(float(main))
     return moments

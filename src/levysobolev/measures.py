@@ -32,9 +32,9 @@ panel.
 The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
 h(x) = x, over the large jumps; that precondition is probed numerically and
 DivergentIntegral raised when it fails.  With an infinite cutoff, the mass
-of f_s beyond the outer limit r_eff is added to A_fs when r_eff stops at
-its cap.  QUADPACK passes one float at a time; the built-in parts evaluate
-it as a numpy scalar.
+of f_s and the first moment of f_as beyond the outer limit r_eff are added
+when r_eff stops at its cap.  QUADPACK passes one float at a time; the
+built-in parts evaluate it as a numpy scalar.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ EPS_INNER = 1e-4          # fixed split radius between singular head and the res
 _SERIES_CUT = 4.0         # switch point for I_Y between series and tail form
 _PHASE_CAP = 60.0         # radians of phase per panel below the oscillation cutoff
 _QUAD_KW = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
+_TREND_TOL = 0.05         # log-log slope tolerance of the Appendix bound verdicts
 
 
 # --------------------------------------------------------------------------
@@ -90,10 +91,10 @@ class LevyDensity:
     The density carries its parts f = f_s + f_as, f_s even and f_as odd,
     checked at construction for symmetry and |f_as| <= f_s, and a cache of
     the u-independent quadrature results, ("m1", eps) and (tag, a, b) per
-    panel, of the f_s mass beyond r_eff, of whether f_as vanishes and of a
-    passed f_as integrability probe; a copy made by `dataclasses.replace`
-    starts with an empty cache.  InvalidParams when f raises TypeError or
-    ValueError on a float array.
+    panel, of the f_s mass and f_as moment beyond r_eff, of whether f_as
+    vanishes and of a passed f_as integrability probe; a copy made by
+    `dataclasses.replace` starts with an empty cache.  InvalidParams when f
+    raises TypeError or ValueError on a float array.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -296,7 +297,7 @@ def power_law_density(coef: float, Y: float) -> LevyDensity:
         with np.errstate(divide="ignore"):
             return np.where(ax > 0, coef / ax ** (1.0 + Y), 0.0)
 
-    return LevyDensity(f=f, y_hint=Y, c_hint=coef, finite_variation=False,
+    return LevyDensity(f=f, y_hint=Y, c_hint=coef, finite_variation=Y < 1.0,
                        cutoff=np.inf, name=f"powerlaw(c={coef},Y={Y})",
                        levy_condition_proven=True)
 
@@ -581,41 +582,35 @@ def _first_moment_as(density: LevyDensity, eps: float):
         moment = lambda x: x * density.f_as(x)
         inner, e1 = _inner_singular_quad(moment, eps, _QUAD_KW, density.knots)
         outer, e2 = _panel_sum(moment, _panels(eps, density.r_eff, knots=density.knots), _QUAD_KW)
-        density._cache[key] = (2.0 * (inner + outer), 2.0 * (abs(e1) + abs(e2)))
+        beyond, e3, _ = _beyond_r_eff(density, moment=True)
+        density._cache[key] = (2.0 * (inner + outer) + beyond, 2.0 * (abs(e1) + abs(e2)) + e3)
     return density._cache[key]
 
 
 def _check_as_integrable(density: LevyDensity) -> None:
     """DivergentIntegral unless int |x f_as| dx converges; a pass is cached.
 
-    At 0 the exponent is fitted over six decades below EPS_INNER, or below
-    the smallest knot: a fit across it would mix the table with its
-    extrapolated head.  With an infinite cutoff the truncation h(x) = x also
-    needs the large-jump moment int_{|x|>1} |x f_as| dx: its trapezoid sum on
-    [1, 1e4] may grow over the upper half of the range by at most 5% of the
-    total.  A symmetric heavy tail has f_as = 0 and passes.
+    At 0 the local exponent of |x f_as|, fitted over six decades below
+    EPS_INNER or below the smallest knot (a fit across it would mix the
+    table with its extrapolated head), must exceed -0.98.  With an infinite
+    cutoff the truncation h(x) = x also needs the large-jump moment
+    int_{|x|>1} |x f_as| dx: the exponent over 24 log points of [1e2, 1e4]
+    must stay below -1.02.  A symmetric heavy tail has f_as = 0 and passes.
     """
     if ("as_integrable",) in density._cache:
         return
     hi = min((EPS_INNER, *density.knots))
-    xs = np.geomspace(1e-10 * (hi / EPS_INNER), hi, 24)
-    vals = np.abs(xs * density.f_as(xs)) + np.abs(xs * density.f_as(-xs))
-    if not np.all(vals < 1e-250):
-        slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]
-        if slope <= -0.98:
-            raise DivergentIntegral(
-                f"{density.name}: int |x f_as(x)| dx appears divergent near 0 "
-                f"(local exponent {slope:.3f})"
-            )
+    ends = [(np.geomspace(1e-10 * (hi / EPS_INNER), hi, 24), 1.0, -0.98, "near 0")]
     if np.isinf(density.cutoff):
-        xs = np.geomspace(1.0, 1e4, 200)
-        vals = xs * (np.abs(density.f_as(xs)) + np.abs(density.f_as(-xs)))
-        partial = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))
-        if not partial[-1] - partial[len(partial) // 2] <= 0.05 * partial[-1] + 1e-30:
-            raise DivergentIntegral(
-                f"{density.name}: truncation h(x) = x needs int_{{|x|>1}} |x f_as(x)| dx "
-                f"< inf, which appears divergent"
-            )
+        ends.append((np.geomspace(1e2, 1e4, 24), -1.0, 1.02, "over |x| > 1, needed by h(x) = x"))
+    for xs, sign, bound, where in ends:
+        vals = np.abs(xs * density.f_as(xs)) + np.abs(xs * density.f_as(-xs))
+        if np.all(vals < 1e-250):
+            continue
+        slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]
+        if sign * slope <= bound:
+            raise DivergentIntegral(f"{density.name}: int |x f_as(x)| dx appears divergent "
+                                    f"{where} (local exponent {slope:.3f})")
     density._cache[("as_integrable",)] = True
 
 
@@ -627,43 +622,46 @@ def _has_as(density: LevyDensity) -> bool:
     return density._cache[("has_as",)]
 
 
-def _mass_beyond_r_eff(density: LevyDensity):
-    """(2 int_{r_eff}^inf f_s dx, its error, 4 f_s(r_eff)); cached.
+def _beyond_r_eff(density: LevyDensity, moment: bool):
+    """(2 int_{r_eff}^inf w dx, its error, 4 |p(r_eff)|) for the part p = f_s
+    and w = f_s, or with `moment` p = f_as and w = x f_as; cached.
 
     Zeros unless the cutoff is infinite and r_eff stopped at its cap with
     f_s(r) r^2 > 1e-20.  The substitution x = r/s maps the tail to (0, 1]:
     QUADPACK's own map of [r, inf) misses such a slowly decaying tail.  For
-    a decreasing f_s, 4 f_s(r)/|u| bounds the dropped 2 int_r^inf cos(ux) f_s.
+    a monotone |p|, 4 |p(r)|/|u| bounds the dropped 2 int_r^inf cos(ux) f_s
+    or 2 int_r^inf sin(ux) f_as.
     """
-    if ("beyond",) not in density._cache:
+    key = ("beyond", moment)
+    if key not in density._cache:
         r = density.r_eff
-        f_r = float(density.f_s(np.array([r]))[0])
         out = (0.0, 0.0, 0.0)
-        if np.isinf(density.cutoff) and f_r * r * r > 1e-20:
-            val, e = quad(lambda s: r * density.f_s(r / s) / (s * s), 0.0, 1.0, **_QUAD_KW)
-            out = (2.0 * val, 2.0 * abs(e), 4.0 * f_r)
-        density._cache[("beyond",)] = out
-    return density._cache[("beyond",)]
+        if np.isinf(density.cutoff) and float(density.f_s(np.array([r]))[0]) * r * r > 1e-20:
+            part = density.f_as if moment else density.f_s
+            w = (lambda x: x * part(x)) if moment else part
+            val, e = quad(lambda s: r * w(r / s) / (s * s), 0.0, 1.0, **_QUAD_KW)
+            out = (2.0 * val, 2.0 * abs(e), 4.0 * abs(float(part(np.array([r]))[0])))
+        density._cache[key] = out
+    return density._cache[key]
 
 
-def symbol_parts_from_density(density: LevyDensity, u: float,
-                              eps: float = EPS_INNER, refine: int = 1):
+def symbol_parts_from_density(density: LevyDensity, u: float):
     """(A_fs(u), A_fas(u)) for truncation h(x) = x.
 
     A_fs(u) >= 0 real; A_fas(u) purely imaginary.  Combined absolute
     tolerance 1e-9 (1 + u^2).  QUADPACK's error estimates are conservative
     on strongly singular integrands, so when they exceed the budget the
-    result is validated against a run at eps/2 with `refine` doubled and the
-    observed difference taken as the error; QuadratureFailure only when that
-    too misses the budget.  `refine` > 1 starts from the deeper budgets.
+    result is validated against a run at EPS_INNER/2 with twice the
+    subinterval limit and the observed difference taken as the error;
+    QuadratureFailure only when that too misses the budget.
     """
     u = float(u)
     if u == 0.0:
         return 0.0, 0.0j
     budget = 1e-9 * (1.0 + u * u)
-    a_fs, a_fas, err_acc = _symbol_parts_once(density, u, eps, refine)
+    a_fs, a_fas, err_acc = _symbol_parts_once(density, u, EPS_INNER, 1)
     if err_acc > budget:
-        b_fs, b_fas, _ = _symbol_parts_once(density, u, eps / 2.0, 2 * refine)
+        b_fs, b_fas, _ = _symbol_parts_once(density, u, EPS_INNER / 2.0, 2)
         err_acc = abs(a_fs - b_fs) + abs(a_fas - b_fas)
         a_fs, a_fas = b_fs, b_fas
     if err_acc > budget:
@@ -710,7 +708,7 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
                                         anchor=eps, tag="g")
         outer, e2 = _one_minus_cos_region(density, density.f_s, eps, density.r_eff, u, kw,
                                           skip_tol, anchor=eps, tag="fs")
-        beyond, e3, env = _mass_beyond_r_eff(density)
+        beyond, e3, env = _beyond_r_eff(density, moment=False)
         err_acc += e1 + e2 + e3 + env / au
         a_fs = head + 2.0 * (rem + outer) + beyond
 
@@ -720,7 +718,7 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
     else:
         _check_as_integrable(density)
         m1, e_m1 = _first_moment_as(density, eps)
-        err_acc += abs(e_m1)
+        err_acc += abs(e_m1) + _beyond_r_eff(density, moment=True)[2] / au
         hi = density.r_eff
         x1 = float(np.clip(30.0 / au, eps, hi))
         lo = min(eps, x1)
@@ -894,8 +892,8 @@ class BoundReport:
         return rec
 
 
-def _ratio_trend(us, ratio, top_frac=0.25):
-    start = min(int(len(us) * (1.0 - top_frac)), len(us) - 8)
+def _ratio_trend(us, ratio):
+    start = min(int(len(us) * 0.75), len(us) - 8)
     top = slice(max(start, 0), None)
     pos = ratio[top] > 0
     if pos.sum() < 4:
@@ -904,14 +902,13 @@ def _ratio_trend(us, ratio, top_frac=0.25):
     return slope
 
 
-def _upper_bound(us, ratio, trend_tol: float) -> BoundEntry:
+def _upper_bound(us, ratio) -> BoundEntry:
     """Verdict on |part| <= C weight from ratio = |part|/weight: it must stop growing."""
     slope = _ratio_trend(us, ratio)
-    return BoundEntry(True, bool(slope <= trend_tol), {"C": float(ratio.max()), "trend": slope})
+    return BoundEntry(True, bool(slope <= _TREND_TOL), {"C": float(ratio.max()), "trend": slope})
 
 
-def verify_appendix_bounds(density: LevyDensity, Y: float, grid,
-                           trend_tol: float = 0.05) -> BoundReport:
+def verify_appendix_bounds(density: LevyDensity, Y: float, grid) -> BoundReport:
     """Check the four growth/lower-bound relations tying A_fs, A_fas to Y.
 
       a)  A_fs(u) <= C (1 + |u|^Y)
@@ -923,7 +920,8 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid,
     Each constant is fitted as the extremal ratio over the grid; the verdict
     asks whether the bound is *asymptotically sustainable*: the fitted ratio
     must not keep growing (a, c, d) resp. decaying to zero (b) over the top
-    half of the grid, within a log-log slope tolerance of 0.05.
+    quarter of the grid (at least 8 points), within a log-log slope
+    tolerance of _TREND_TOL.
     """
     if not 0.0 < Y < 2.0:
         raise InvalidParams("appendix bounds need Y in (0, 2)")
@@ -938,13 +936,13 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid,
 
     parts = {}
     # a) upper bound on the symmetric part
-    parts["a"] = _upper_bound(us, a_fs / (1.0 + us**Y), trend_tol)
+    parts["a"] = _upper_bound(us, a_fs / (1.0 + us**Y))
 
     # b) Garding-type lower bound with Y' = Y/2
     ratio_b = a_fs / us**Y
     slope_b = _ratio_trend(us, ratio_b)
     c1 = float(0.95 * ratio_b[int(len(us) * 0.5):].min())
-    if c1 <= 0 or slope_b < -trend_tol:
+    if c1 <= 0 or slope_b < -_TREND_TOL:
         parts["b"] = BoundEntry(True, False, {"C1": max(c1, 0.0), "C2": 0.0,
                                               "trend": slope_b},
                                 "coefficient of |u|^Y decays toward zero")
@@ -960,7 +958,7 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid,
     elif np.all(mag < 1e-250):
         parts["c"] = BoundEntry(True, True, {"C": 0.0}, "antisymmetric part vanishes")
     else:
-        parts["c"] = _upper_bound(us, mag / (1.0 + us ** max(1.0, Y)), trend_tol)
+        parts["c"] = _upper_bound(us, mag / (1.0 + us ** max(1.0, Y)))
 
     # d) finite-variation drift bound
     if density.finite_variation:
@@ -969,7 +967,7 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid,
         if np.all(mag_d < 1e-250):
             parts["d"] = BoundEntry(True, True, {"C": 0.0}, "no antisymmetric part")
         else:
-            parts["d"] = _upper_bound(us, mag_d / (1.0 + us**Y), trend_tol)
+            parts["d"] = _upper_bound(us, mag_d / (1.0 + us**Y))
     else:
         parts["d"] = BoundEntry(False, True, {}, "paths not of finite variation")
 

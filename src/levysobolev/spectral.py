@@ -27,7 +27,7 @@ import numpy as np
 
 from .conventions import inv_scale
 from .errors import GridMismatch, InvalidParams, TailTooFat, UnstableScheme
-from .indices import GridSpec, fit_garding_exponent
+from .indices import fit_garding_exponent
 from .symbols import Symbol
 
 _SCHEMES = {"exact": "exact",
@@ -216,7 +216,7 @@ def _random_band_field(grid: FrequencyGrid, radii: np.ndarray, rng) -> SpectralF
 
 def verify_form_inequalities(symbol: Symbol, alpha: float, trials: int,
                              grid: FrequencyGrid, seed: int = 0,
-                             radial_grid: GridSpec = GridSpec()) -> FormReport:
+                             garding_slope: float | None = None) -> FormReport:
     """Continuity and Garding verdicts for the bilinear form at exponent alpha.
 
     Over `trials` seeded band-limited complex-Gaussian fields the report fits
@@ -228,7 +228,8 @@ def verify_form_inequalities(symbol: Symbol, alpha: float, trials: int,
     A truncated grid alone cannot falsify the Garding condition (any finite
     band admits some c3), so the verdict also requires the radial Garding
     slope of the symbol to reach alpha within 0.05; this is what makes the
-    variance-gamma symbol fail for every alpha >= 0.2.
+    variance-gamma symbol fail for every alpha >= 0.2.  `garding_slope` is
+    that slope as the caller fitted it; None fits it on GridSpec().
     """
     if not 0.0 < alpha <= 2.0:
         raise InvalidParams("alpha must lie in (0, 2]")
@@ -259,7 +260,7 @@ def verify_form_inequalities(symbol: Symbol, alpha: float, trials: int,
         re_quad = float(np.sum(a_vals.real * np.abs(u.values) ** 2) * dv)
         min_slack = min(min_slack, re_quad - (c2 * nu - c3 * l2u))
 
-    g_slope, _ = fit_garding_exponent(symbol, radial_grid)
+    g_slope = fit_garding_exponent(symbol)[0] if garding_slope is None else garding_slope
     slope_ok = bool(g_slope >= alpha - 0.05)
     im_c = float(np.max(np.abs(a_vals.imag) / (1.0 + a_vals.real)))
     passed = bool(slope_ok and c2 > 0.0 and c3 <= 1e6 and min_slack >= -1e-9)

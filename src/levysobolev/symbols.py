@@ -379,7 +379,7 @@ def _density_builder(name: str, *args):
     return build
 
 
-def make_symbol(params, d: int | None = None) -> Symbol:
+def make_symbol(params) -> Symbol:
     """Build the symbol of the params of any family in FAMILIES.
 
     Raises InvalidParams naming the violated constraint.  A closed-form
@@ -390,15 +390,13 @@ def make_symbol(params, d: int | None = None) -> Symbol:
     access of `Symbol.density`.
     """
     if isinstance(params, BrownianParams):
-        b = np.atleast_1d(np.asarray(params.b, dtype=float))
-        d = d or len(b)
+        d = len(np.atleast_1d(np.asarray(params.b, dtype=float)))
         b = _as_vector(params.b, d, "b")
         sigma = _as_matrix(params.sigma, d, "sigma")
         _check_symmetric_psd(sigma, "sigma")
         sym = Symbol(d, "brownian", params, _brownian_fn(sigma, b))
     elif isinstance(params, NIGParams):
-        beta = np.atleast_1d(np.asarray(params.beta, dtype=float))
-        d = d or len(beta)
+        d = len(np.atleast_1d(np.asarray(params.beta, dtype=float)))
         beta = _as_vector(params.beta, d, "beta")
         mu = _as_vector(params.mu, d, "mu")
         Delta = _as_matrix(params.Delta, d, "Delta")
@@ -417,8 +415,7 @@ def make_symbol(params, d: int | None = None) -> Symbol:
         sym = Symbol(d, "nig", params, _nig_fn(params.alpha, beta, params.delta, mu, Delta),
                      build_density=build)
     elif isinstance(params, CauchyParams):
-        g = np.atleast_1d(np.asarray(params.gamma, dtype=float))
-        d = d or len(g)
+        d = len(np.atleast_1d(np.asarray(params.gamma, dtype=float)))
         g = _as_vector(params.gamma, d, "gamma")
         if params.c <= 0:
             raise InvalidParams("Cauchy requires c > 0")

@@ -239,6 +239,17 @@ def test_inequalities_task_computes_no_jump_indices(cgmy_cfg, tmp_path, monkeypa
     assert json.loads((tmp_path / "o" / "inequalities.json").read_text())["result"]["passed"]
 
 
+def test_inequalities_task_reads_index_tol(tmp_path, capsys):
+    # alpha_cont 1.500072 and alpha_gard 1.500075 differ by more than 1e-9
+    cfg = tmp_path / "cgmy.json"
+    cfg.write_text(json.dumps({"process.family": "cgmy", "process.C": 1.0, "process.G": 2.0,
+                               "process.M": 4.0, "process.Y": 1.5, "index.tol": 1e-9}))
+    code = cli.main(["inequalities", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--set", "ineq.trials=20", "--set", "freq.N=256"])
+    assert code == 1
+    assert "no Sobolev index found" in capsys.readouterr().err
+
+
 def test_price_task_gaussian(tmp_path):
     cfg = tmp_path / "b.json"
     cfg.write_text(json.dumps({
@@ -375,6 +386,31 @@ def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypat
     rows = [ln for ln in (tmp_path / "index.csv").read_text().splitlines()
             if not ln.startswith("#")]
     assert len(rows) == 1 + 17
+
+
+@pytest.mark.parametrize("alpha", [None, 1.5])
+def test_inequalities_task_evaluates_rays_once(tmp_path, monkeypatch, alpha):
+    # without ineq.alpha the index verdict's Garding slope is passed on,
+    # not fitted on the rays again
+    points = []
+    build = cli.build_symbol
+
+    def counting_build(cfg):
+        sym, rec = build(cfg)
+
+        def fn(pts):
+            points.append(len(pts))
+            return sym.fn(pts)
+        return dataclasses.replace(sym, fn=fn), rec
+
+    monkeypatch.setattr(cli, "build_symbol", counting_build)
+    cfg = {"task": "inequalities", "process.family": "cgmy", "process.C": 1.0,
+           "process.G": 2.0, "process.M": 4.0, "process.Y": 1.5,
+           "ineq.trials": 5, "freq.N": 64}
+    if alpha is not None:
+        cfg["ineq.alpha"] = alpha
+    assert cli.run(cfg, str(tmp_path)) == 0
+    assert sorted(points) == [64, len(cli._grid_spec(cfg).radii())]
 
 
 def test_symbol_eval_calls_its_symbol_once(tmp_path, monkeypatch):
