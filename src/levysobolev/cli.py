@@ -13,20 +13,21 @@ overrides the `seed` key.  Exit codes: 0 success, 1 numerical failure
 (quadrature/fit errors, surfaced with the failing operation), 2 config
 error, with the key named on stderr.  Config errors include a value that
 does not parse as its key's type, a fractional value for an integer key
-(4096.0 reads as 4096, 64.9 is refused), a count below 1, a value out of
-range (evolve.T, density.t, payoff.width, index.tol, eval.u_min, eval.u_max
-> 0; price.tau, payoff.order >= 0; ineq.alpha in (0, 2]; x_min, x_max and
-every x_points entry of price.* and density.* finite), an unknown
-evolve.scheme, an unknown or missing process.* key and an unreadable
-tabulated file.  Identical config + seed produces byte-identical outputs:
-no timestamps, sorted keys, shortest-roundtrip float formatting.
+(4096.0 reads as 4096, 64.9 is refused), a count below 1 (grid.directions
+too), a value out of range (evolve.T, density.t, payoff.width, index.tol,
+eval.u_min, eval.u_max > 0; price.tau, payoff.order >= 0; ineq.alpha in
+(0, 2]; grid.* as GridSpec checks them; x_min, x_max and every x_points
+entry of price.* and density.* finite), an unknown evolve.scheme, an
+unknown or missing process.* key and an unreadable or malformed tabulated
+file.  Identical config + seed produces byte-identical outputs: no
+timestamps, sorted keys, shortest-roundtrip float formatting.
 
 Config keys (defaults in _DEFAULTS below, echoed into every output):
 
   process.family        a key of symbols.FAMILIES, or vg (cgmy with Y = 0)
   process.<param>       its params dataclass fields, e.g. process.C; tabulated:
                         path of a CSV of x,f rows; echoed as result.family
-  grid.r_min/r_max/points_per_decade/directions    radial fit grid
+  grid.r_min/r_max/points_per_decade/directions    radial fit grid (directions: a count)
   freq.N/Xi             frequency grid (d = 1; symbol-eval, inequalities, evolve,
                         price and density refuse a d = 2 process, exit 2)
   index.tol             agreement tolerance for the Sobolev index, also that of
@@ -170,15 +171,15 @@ def _build_1d_symbol(cfg: dict) -> tuple[Symbol, dict]:
 
 
 def _grid_spec(cfg: dict) -> GridSpec:
+    """The GridSpec of the grid.* keys; a refusal names the key of its field."""
+    keys = {"r_min": "grid.r_min", "r_max": "grid.r_max",
+            "points_per_decade": "grid.points_per_decade", "n_directions": "grid.directions"}
+    args = {name: _cfg(cfg, key) for name, key in keys.items()}
+    args["n_directions"] = _count(cfg, "grid.directions")
     try:
-        return GridSpec(
-            r_min=_cfg(cfg, "grid.r_min"),
-            r_max=_cfg(cfg, "grid.r_max"),
-            points_per_decade=_cfg(cfg, "grid.points_per_decade"),
-            n_directions=_cfg(cfg, "grid.directions"),
-        )
-    except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
+        return GridSpec(**args)
+    except InvalidParams as exc:  # its message starts with the field
+        raise ConfigError(f"{keys[str(exc).split()[0]]}: {exc}") from exc
 
 
 def _freq_grid(cfg: dict) -> spectral.FrequencyGrid:

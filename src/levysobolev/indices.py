@@ -50,7 +50,7 @@ RESIDUAL_GROWTH_TOL = 0.03   # max admissible growth of |A|/(1+r)^alpha
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Radial log grid and unit directions used by every fit."""
+    """Radial log grid and unit directions of every fit; a refusal names its field first."""
 
     r_min: float = 1e2
     r_max: float = 1e6
@@ -61,9 +61,11 @@ class GridSpec:
         if self.r_min < 1.0:
             raise InvalidParams("r_min must be >= 1")
         if self.r_max / self.r_min < 1e2:
-            raise InvalidParams("need at least two decades of radii")
+            raise InvalidParams("r_max must be >= 100 r_min: two decades of radii")
         if self.points_per_decade < 4:
             raise InvalidParams("points_per_decade must be >= 4")
+        if self.n_directions < 1:
+            raise InvalidParams("n_directions must be >= 1")
 
     def radii(self) -> np.ndarray:
         decades = np.log10(self.r_max / self.r_min)

@@ -30,8 +30,8 @@ sit on the decade ladder eps*10^k and are cached on the density, panel by
 panel.
 
 The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
-h(x) = x, over the large jumps; that precondition is probed numerically and
-DivergentIntegral raised when it fails.  With an infinite cutoff, the mass
+h(x) = x, over the large jumps; local exponents judge that precondition and
+DivergentIntegral is raised when it fails.  With an infinite cutoff, the mass
 of f_s and the first moment of f_as beyond the outer limit r_eff are added
 when r_eff stops at its cap.  QUADPACK passes one float at a time; the
 built-in parts evaluate it as a numpy scalar.
@@ -80,9 +80,9 @@ class LevyDensity:
     precision.  The built-in families all provide them, and theirs return
     a scalar for a float x.
 
-    `levy_condition_proven` marks a family whose parameter checks already
-    prove int (x^2 ^ 1) f dx < inf; the numerical probe of that integral,
-    which cannot tell Y just below 2 from Y = 2, is then skipped.
+    `levy_condition_proven` marks a family whose parameter checks prove
+    int (x^2 ^ 1) f dx < inf; `_divergent_end`'s rule for it, which cannot
+    tell Y just below 2 from Y = 2 and runs no quadrature, is then skipped.
 
     `knots` lists, sorted, the |x| where f is not smooth (the nodes of a
     tabulated density); every quadrature over a range containing one splits
@@ -92,7 +92,7 @@ class LevyDensity:
     checked at construction for symmetry and |f_as| <= f_s, and a cache of
     the u-independent quadrature results, ("m1", eps) and (tag, a, b) per
     panel, of the f_s mass and f_as moment beyond r_eff, of whether f_as
-    vanishes and of a passed f_as integrability probe; a copy made by
+    vanishes and of a passed f_as integrability check; a copy made by
     `dataclasses.replace` starts with an empty cache.  InvalidParams when f
     raises TypeError or ValueError on a float array.
     """
@@ -120,7 +120,8 @@ class LevyDensity:
                                 f"({type(exc).__name__}: {exc})") from exc
         if np.any(vals < -1e-12 * (1.0 + np.abs(vals))):
             raise InvalidParams(f"{self.name}: density must be nonnegative")
-        if not self.levy_condition_proven and not _levy_condition_holds(self):
+        if not self.levy_condition_proven and _divergent_end(
+                self, lambda x: np.minimum(x * x, 1.0) * self.f(x)) is not None:
             raise InvalidParams(f"{self.name}: int (x^2 ^ 1) f(x) dx does not converge")
         xs = np.geomspace(1e-7, max(1.0, min(self.cutoff, 1e2)), 64)
         xs = np.concatenate([xs, -xs])
@@ -174,27 +175,6 @@ def _with_breaks(kw: dict, pts) -> dict:
     if not pts:
         return kw
     return dict(kw, points=pts, limit=max(kw["limit"], 2 * len(pts)))
-
-
-def _levy_condition_holds(density: LevyDensity) -> bool:
-    f = density.f
-    # small-jump side: per-decade increments of int x^2 f must keep decaying;
-    # non-decaying increments signal int_0 x^2 f = infinity (x^2 f ~ x^{-1-s})
-    def decade(k):
-        a, b = 10.0 ** (-k), 10.0 ** (-k + 1)
-        return quad(lambda x: x * x * (f(x) + f(-x)), a, b,
-                    **_with_breaks(_QUAD_KW, _knots_in(density.knots, a, b)))[0]
-    prev, flat_run = decade(1), 0
-    for k in range(2, 10):
-        cur = decade(k)
-        flat_run = flat_run + 1 if cur >= 0.98 * prev - 1e-300 and cur > 0 else 0
-        if flat_run >= 3:
-            return False
-        prev = cur
-    if not np.isfinite(density.cutoff):
-        tail = quad(lambda x: f(x) + f(-x), 1.0, np.inf, **_QUAD_KW)
-        return np.isfinite(tail[0])
-    return True
 
 
 def _differenced(f, sign: float):
@@ -353,13 +333,14 @@ def tabulated_density(x_points, f_values) -> LevyDensity:
     """
     x_points = np.asarray(x_points, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
-    if np.any(f_values < 0) or np.any(x_points == 0):
-        raise InvalidParams("tabulated density needs x != 0 and f >= 0")
+    valid = np.isfinite(x_points) & (x_points != 0) & np.isfinite(f_values) & (f_values >= 0)
+    if not np.all(valid):
+        raise InvalidParams("tabulated density needs finite x != 0 and finite f >= 0")
     pos = x_points > 0
     branches = {}
     for sign, mask in ((1.0, pos), (-1.0, ~pos)):
-        if mask.sum() < 2:
-            raise InvalidParams("need at least two samples per sign of x")
+        if len(np.unique(np.abs(x_points[mask]))) < max(mask.sum(), 2):
+            raise InvalidParams("need at least two samples per sign of x, each |x| once")
         lx = np.log(np.abs(x_points[mask]))
         lf = np.log(np.maximum(f_values[mask], 1e-300))
         order = np.argsort(lx)
@@ -577,6 +558,9 @@ def _one_minus_cos_region(density: LevyDensity, w, lo: float, hi: float,
 
 
 def _first_moment_as(density: LevyDensity, eps: float):
+    """(int x f_as dx, its error); (0.0, 0.0) without quadrature when f_as vanishes."""
+    if not _has_as(density):
+        return 0.0, 0.0
     key = ("m1", eps)
     if key not in density._cache:
         moment = lambda x: x * density.f_as(x)
@@ -587,30 +571,42 @@ def _first_moment_as(density: LevyDensity, eps: float):
     return density._cache[key]
 
 
-def _check_as_integrable(density: LevyDensity) -> None:
-    """DivergentIntegral unless int |x f_as| dx converges; a pass is cached.
+def _divergent_end(density: LevyDensity, g):
+    """(end, local exponent) where int g dx appears divergent, or None.
 
-    At 0 the local exponent of |x f_as|, fitted over six decades below
-    EPS_INNER or below the smallest knot (a fit across it would mix the
-    table with its extrapolated head), must exceed -0.98.  With an infinite
-    cutoff the truncation h(x) = x also needs the large-jump moment
-    int_{|x|>1} |x f_as| dx: the exponent over 24 log points of [1e2, 1e4]
-    must stay below -1.02.  A symmetric heavy tail has f_as = 0 and passes.
+    The exponent of |g(x)| + |g(-x)| on 24 log points must exceed -0.98 over
+    six decades below EPS_INNER or the smallest knot (a fit across a knot
+    would mix a table with its extrapolated head) and, with an infinite
+    cutoff, stay below -1.02 on [1e2, 1e4].  An end where g vanishes (below
+    1e-250) passes.  No quadrature is run.
     """
-    if ("as_integrable",) in density._cache:
-        return
     hi = min((EPS_INNER, *density.knots))
     ends = [(np.geomspace(1e-10 * (hi / EPS_INNER), hi, 24), 1.0, -0.98, "near 0")]
     if np.isinf(density.cutoff):
-        ends.append((np.geomspace(1e2, 1e4, 24), -1.0, 1.02, "over |x| > 1, needed by h(x) = x"))
+        ends.append((np.geomspace(1e2, 1e4, 24), -1.0, 1.02, "over |x| > 1"))
     for xs, sign, bound, where in ends:
-        vals = np.abs(xs * density.f_as(xs)) + np.abs(xs * density.f_as(-xs))
+        vals = np.abs(g(xs)) + np.abs(g(-xs))
         if np.all(vals < 1e-250):
             continue
         slope = linear_fit(np.log(xs), np.log(np.maximum(vals, 1e-280)))[0]
         if sign * slope <= bound:
-            raise DivergentIntegral(f"{density.name}: int |x f_as(x)| dx appears divergent "
-                                    f"{where} (local exponent {slope:.3f})")
+            return where, slope
+    return None
+
+
+def _check_as_integrable(density: LevyDensity) -> None:
+    """DivergentIntegral unless int |x f_as| dx converges by `_divergent_end`'s
+    rule; a pass is cached.  With an infinite cutoff the truncation h(x) = x
+    also needs the large-jump moment.  A symmetric heavy tail has f_as = 0.
+    """
+    if ("as_integrable",) in density._cache:
+        return
+    end = _divergent_end(density, lambda x: x * density.f_as(x))
+    if end is not None:
+        where, slope = end
+        need = "" if where == "near 0" else ", needed by h(x) = x"
+        raise DivergentIntegral(f"{density.name}: int |x f_as(x)| dx appears divergent "
+                                f"{where}{need} (local exponent {slope:.3f})")
     density._cache[("as_integrable",)] = True
 
 

@@ -100,6 +100,8 @@ def test_config_error_exit_2(cgmy_cfg, tmp_path):
     ("price", "price.x_points=1,nan"),
     ("density", "density.x_max=inf"),
     ("index", "index.tol=-1"),
+    ("index", "grid.points_per_decade=2"),
+    ("index", "grid.r_min=0.5"),
 ])
 def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
     cfg = tmp_path / "c.json"
@@ -122,6 +124,7 @@ def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
     ("evolve", "evolve.K=0"),
     ("inequalities", "ineq.trials=0"),
     ("price", "payoff.order=-1"),
+    ("index", "grid.directions=0"),
 ])
 def test_bad_integer_value_exit_2(tmp_path, capsys, task, override):
     cfg = tmp_path / "c.json"
@@ -154,10 +157,20 @@ def test_two_dimensional_process_exit_2(tmp_path, capsys, task):
     ({"process.family": "tabulated", "process.path": "one-column.csv"}, "one-column.csv"),
     ({"process.family": "tabulated", "process.path": "empty.csv"}, "empty.csv"),
     ({"process.family": "tabulated", "process.path": "missing.csv"}, "missing.csv"),
+    ({"process.family": "tabulated", "process.path": "nan-f.csv"}, "finite x != 0"),
+    ({"process.family": "tabulated", "process.path": "repeated-x.csv"}, "each |x| once"),
 ])
 def test_bad_process_record_exit_2(tmp_path, capsys, record, named):
     (tmp_path / "one-column.csv").write_text("-1.0\n-0.5\n0.5\n1.0\n")
     (tmp_path / "empty.csv").write_text("# x,f\n")
+    # the CLI test's table with one NaN f, and with its last x repeated
+    xs = np.concatenate([-np.geomspace(1e-7, 20, 60)[::-1], np.geomspace(1e-7, 20, 60)])
+    table = np.column_stack([xs, np.exp(-2 * np.abs(xs)) / np.abs(xs) ** 2.2])
+    nan_f, repeated_x = table.copy(), table.copy()
+    nan_f[70, 1] = np.nan
+    repeated_x[-1, 0] = repeated_x[-2, 0]
+    np.savetxt(tmp_path / "nan-f.csv", nan_f, delimiter=",")
+    np.savetxt(tmp_path / "repeated-x.csv", repeated_x, delimiter=",")
     record = {k: str(tmp_path / v) if k == "process.path" else v for k, v in record.items()}
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(record))

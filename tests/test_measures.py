@@ -71,14 +71,31 @@ def test_levy_condition_rejects_too_singular():
                       name="too-singular")
 
 
+def test_levy_condition_rejects_divergent_big_jump_mass():
+    # bounded near 0, but int_{|x|>1} f dx = inf: not a Levy measure
+    for power in (0.8, 1.0):
+        f = lambda x, p=power: np.minimum(1.0, np.abs(np.asarray(x, dtype=float)) ** -p)
+        with pytest.raises(InvalidParams, match="does not converge"):
+            M.LevyDensity(f=f, cutoff=np.inf, name=f"tail-{power}")
+
+
 def test_levy_condition_proven_by_family_parameters(monkeypatch):
-    # Y just below 2 is a Levy measure, but its decade increments of
-    # int x^2 f shrink too slowly for the numerical probe; the closed-form
-    # families skip it
-    monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("probe ran"))
+    # Y just below 2 is a Levy measure, but the local-exponent rule cannot
+    # tell it from Y = 2; the closed-form families skip it
+    monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad ran"))
     for d in (M.cgmy_density(1.0, 5.0, 5.0, 1.99), M.power_law_density(1.0, 1.999),
               M.nig_density(2.0, 0.5, 1.0)):
         assert d.levy_condition_proven
+    # every other density is judged without quadrature
+    for d in (M.gh_expansion_density(0.5, 0.1, 0.05), _table(), _user_density()):
+        assert not d.levy_condition_proven
+
+
+def test_vanishing_first_moment_runs_no_quadrature(monkeypatch):
+    monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad ran"))
+    for d in (M.power_law_density(1.0, 0.5), M.cgmy_density(1.0, 3.0, 3.0, 0.5), _table()):
+        m1, err = M._first_moment_as(d, M.EPS_INNER)
+        assert (m1.hex(), err.hex()) == ((0.0).hex(), (0.0).hex())
 
 
 def test_density_failing_on_arrays_raises_invalid_params():
@@ -365,10 +382,9 @@ def test_refined_call_validates_against_a_deeper_run():
     # retries at eps/2, refine = 2; the eps/4, refine = 4 run shows the
     # value is good
     table = _table()
-    with pytest.warns(IntegrationWarning):  # the Levy-condition probe
-        sp = M.split_symmetric(M.LevyDensity(f=table.f, y_hint=table.y_hint,
-                                             c_hint=table.c_hint, cutoff=table.cutoff,
-                                             name="table-without-knots"))
+    sp = M.split_symmetric(M.LevyDensity(f=table.f, y_hint=table.y_hint,
+                                         c_hint=table.c_hint, cutoff=table.cutoff,
+                                         name="table-without-knots"))
     with pytest.warns(IntegrationWarning):
         a1, b1 = M.symbol_parts_from_density(sp, 3.0)
         a2, b2, _ = M._symbol_parts_once(sp, 3.0, M.EPS_INNER / 4, 4)
