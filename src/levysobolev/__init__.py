@@ -66,8 +66,8 @@ from .symbols import (
 
 __version__ = "0.1.0"
 
-# measures imports scipy.integrate, which costs more than the rest of the
-# package together; its names load it on first access (PEP 562)
+# only density-backed work needs measures; its names load it on first
+# access (PEP 562), so the other CLI tasks skip its import
 _MEASURES_NAMES = frozenset({
     "BoundReport",
     "LevyDensity",

@@ -4,9 +4,10 @@
 
 Tasks: symbol-eval | index | inequalities | evolve | price | density | catalog.
 
-Each task computes and returns its result; `run` writes it into the --out
-directory as <task>.json (provenance + result) and <task>.csv (provenance
-header + plot rows).  `inequalities` writes only inequalities.json.
+Each task computes and returns its result, its CSV as a list of columns;
+`run` writes it into the --out directory as <task>.json (provenance +
+result) and <task>.csv (provenance header + plot rows, each column
+formatted in one pass).  `inequalities` writes only inequalities.json.
 
 The config is a single flat JSON object; --set overrides file keys; --seed
 overrides the `seed` key.  Exit codes: 0 success, 1 numerical failure
@@ -183,10 +184,11 @@ def _grid_spec(cfg: dict) -> GridSpec:
 
 
 def _freq_grid(cfg: dict) -> spectral.FrequencyGrid:
+    """The 1-d FrequencyGrid of the freq.* keys; a refusal names the key of its field."""
     try:
         return spectral.FrequencyGrid(1, _cfg(cfg, "freq.N"), _cfg(cfg, "freq.Xi"))
-    except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
+    except InvalidParams as exc:  # its message starts with the field
+        raise ConfigError(f"freq.{str(exc).split()[0]}: {exc}") from exc
 
 
 def _payoff_hat(cfg: dict, grid: spectral.FrequencyGrid) -> spectral.SpectralField:
@@ -247,16 +249,27 @@ def write_json(payload: dict, cfg: dict, path: str) -> None:
     _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def emit_plot_data(rows, columns, cfg: dict, path: str) -> None:
-    """CSV with provenance header; refuses to write an empty result."""
-    rows = list(rows)
-    if not rows:
+def _fmt_column(col) -> list:
+    """`_fmt` of every cell: a column of str is taken as it is and a column of
+    floats takes one `float.__repr__` pass; any other column goes per cell."""
+    types = set(map(type, col))
+    if types == {str}:
+        return col
+    if all(issubclass(t, float) for t in types):
+        return list(map(float.__repr__, col))
+    return list(map(_fmt, col))
+
+
+def emit_plot_data(cols, columns, cfg: dict, path: str) -> None:
+    """CSV with provenance header from a list of columns, one per header name;
+    refuses to write an empty result."""
+    if not cols or not len(cols[0]):
         raise IoError("empty result: no plot data to write")
     lines = [f"# levysobolev plot data"]
     for k, v in _provenance(cfg).items():
         lines.append(f"# {k}={_fmt(v)}")
     lines.append(",".join(columns))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    lines.extend(map(",".join, zip(*map(_fmt_column, cols))))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -275,7 +288,7 @@ def _task_symbol_eval(cfg):
     _stage(f"evaluated symbol at {len(us)} points")
     u, re_a, im_a = us.tolist(), vals.real.tolist(), vals.imag.tolist()
     return ({"family": rec, "u": u, "re_a": re_a, "im_a": im_a},
-            ["u", "re_a", "im_a"], zip(u, re_a, im_a))
+            ["u", "re_a", "im_a"], [u, re_a, im_a])
 
 
 def _task_index(cfg):
@@ -290,7 +303,8 @@ def _task_index(cfg):
     r, vals = report.rays
     rows = [(float(np.log(rad)), float(np.log(abs(v))), float(np.log(v.real)))
             for rad, v in zip(r, vals[0]) if abs(v) > 0 and v.real > 0]
-    return {"family": rec, **report.to_record()}, ["log_xi", "log_abs_a", "log_re_a"], rows
+    return ({"family": rec, **report.to_record()}, ["log_xi", "log_abs_a", "log_re_a"],
+            list(zip(*rows)))
 
 
 def _task_inequalities(cfg):
@@ -332,11 +346,11 @@ def _task_evolve(cfg):
     t_txt = np.array(list(map(_fmt, traj.times.tolist())), dtype=object)
     xi_txt = np.array(list(map(_fmt, fg.axis().tolist())), dtype=object)
     values = np.concatenate([f.values for f in traj.fields])
-    rows = zip(np.repeat(t_txt, len(xi_txt)).tolist(), np.tile(xi_txt, len(t_txt)).tolist(),
-               values.real.tolist(), values.imag.tolist())
+    cols = [np.repeat(t_txt, len(xi_txt)).tolist(), np.tile(xi_txt, len(t_txt)).tolist(),
+            values.real.tolist(), values.imag.tolist()]
     l2 = [float(np.sqrt(np.sum(np.abs(f.values) ** 2) * fg.dxi)) for f in traj.fields]
     return ({"family": rec, "scheme": traj.scheme, "times": traj.times.tolist(), "l2_norms": l2},
-            ["t", "xi", "re", "im"], rows)
+            ["t", "xi", "re", "im"], cols)
 
 
 def _task_price(cfg):
@@ -348,7 +362,7 @@ def _task_price(cfg):
     vals = spectral.conditional_expectation(sym, g_hat, tau, xs)
     _stage(f"priced at {len(xs)} points")
     x, value = xs.tolist(), np.real(vals).tolist()
-    return {"family": rec, "tau": tau, "x": x, "value": value}, ["x", "value"], zip(x, value)
+    return {"family": rec, "tau": tau, "x": x, "value": value}, ["x", "value"], [x, value]
 
 
 def _task_density(cfg):
@@ -361,14 +375,14 @@ def _task_density(cfg):
     _stage(f"density at {len(xs)} points, window mass={mass:.6f}")
     x, value = xs.tolist(), vals.tolist()
     return ({"family": rec, "t": t, "mass": float(mass), "x": x, "value": value},
-            ["x", "value"], zip(x, value))
+            ["x", "value"], [x, value])
 
 
 def _task_catalog(cfg):
     _stage(f"catalog: {len(CATALOG)} families")
     return ({"catalog": [{"family": f, "condition": c, "sobolev_index": i}
                          for f, c, i in CATALOG]},
-            ["family", "condition", "sobolev_index"], CATALOG)
+            ["family", "condition", "sobolev_index"], list(zip(*CATALOG)))
 
 
 _RUNNERS = {
@@ -390,10 +404,10 @@ def run(cfg: dict, out_dir: str = ".") -> int:
     if task not in _TASKS:
         raise ConfigError(f"task must be one of {_TASKS}, got {task!r}")
     os.makedirs(out_dir, exist_ok=True)
-    payload, columns, rows = _RUNNERS[task](cfg)
+    payload, columns, cols = _RUNNERS[task](cfg)
     write_json(payload, cfg, os.path.join(out_dir, f"{task}.json"))
     if columns is not None:
-        emit_plot_data(rows, columns, cfg, os.path.join(out_dir, f"{task}.csv"))
+        emit_plot_data(cols, columns, cfg, os.path.join(out_dir, f"{task}.csv"))
     return 0
 
 

@@ -16,8 +16,9 @@ eps = 1e-4 fixed:
     z, closed-form total minus an oscillatory tail for large z), keeping the
     achieved tolerance uniform in u;
   * the remainder f_s - C/|x|^{1+Y} on [-eps, eps] and everything outside is
-    handled by adaptive quadrature, with the oscillatory factors cos(ux),
-    sin(ux) delegated to weighted (QAWO/QAWF) rules.
+    handled by adaptive quadrature, 1 - cos(ux) taken as 2 sin(ux/2)^2, with
+    the oscillatory factors cos(ux), sin(ux) delegated to weighted
+    (QAWO/QAWF) rules.
 
 Every range away from the origin is integrated by one panel rule: decade
 panels [a, min(10 a, hi)], additionally capped at 60 radians of phase
@@ -34,7 +35,9 @@ h(x) = x, over the large jumps; local exponents judge that precondition and
 DivergentIntegral is raised when it fails.  With an infinite cutoff, the mass
 of f_s and the first moment of f_as beyond the outer limit r_eff are added
 when r_eff stops at its cap.  QUADPACK passes one float at a time; the
-built-in parts evaluate it as a numpy scalar.
+built-in parts evaluate it as a numpy scalar.  scipy is imported on the
+first QUADPACK call (`quad`) or Bessel evaluation (`kve`), not with the
+module.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import kve
 
 from .errors import DivergentIntegral, FitUnstable, Inconsistent, InvalidParams, \
     QuadratureFailure
@@ -59,6 +60,23 @@ _SERIES_CUT = 4.0         # switch point for I_Y between series and tail form
 _PHASE_CAP = 60.0         # radians of phase per panel below the oscillation cutoff
 _QUAD_KW = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 _TREND_TOL = 0.05         # log-log slope tolerance of the Appendix bound verdicts
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on each call.
+
+    scipy.integrate costs about 0.3 s of import that a task making no
+    QUADPACK call need not pay.  The name is looked up at call time and
+    never rebound, so a wrapper set on `measures.quad` sees every call.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
+def kve(v, z):
+    """scipy.special.kve, imported on each call (only the NIG density needs it)."""
+    from scipy.special import kve as scipy_kve
+    return scipy_kve(v, z)
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +535,9 @@ def _one_minus_cos_region(density: LevyDensity, w, lo: float, hi: float,
     """int_lo^hi (1 - cos(u x)) w(x) dx for 0 <= lo < hi.
 
     Below x = 30/|u| the full integrand goes through plain adaptive
-    quadrature (no cancellation: everything is evaluated together); beyond
+    quadrature (no cancellation: everything is evaluated together), in the
+    half-angle form 2 sin(u x/2)^2 w(x): 1 - cos(u x) keeps few correct
+    digits for small u x, which matters when w is as singular as x^-2; beyond
     it the cosine genuinely oscillates, so the mass and the oscillatory part
     separate safely.  The boundary is snapped up to the decade ladder
     anchor*10^k so the u-independent mass pieces are cached per density.
@@ -525,7 +545,8 @@ def _one_minus_cos_region(density: LevyDensity, w, lo: float, hi: float,
     au = abs(u)
     width = _PHASE_CAP / au
     knots = density.knots
-    integrand = lambda x: (1.0 - np.cos(u * x)) * w(x)
+    half = 0.5 * u  # QUADPACK passes floats: math.sin is the cheap scalar sine
+    integrand = lambda x: 2.0 * math.sin(half * x) ** 2 * w(x)
     total, err = 0.0, 0.0
     a = lo
     x_osc = 30.0 / au
@@ -764,25 +785,30 @@ def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
 # jump-activity indices
 # --------------------------------------------------------------------------
 
-def _dyadic_samples(density: LevyDensity):
-    """Nodes x, weights w and bin index of a Gauss-Legendre rule on [2^-34, 1].
-
-    Bin 0 is [1/16, 1]; bin k = 1..30 is [2^-(k+4), 2^-(k+3)], the last one
-    reaching below 1e-10.  Every dyadic interval [c/2, c] is split at the
-    knots and each piece gets 16 nodes, so each piece sees a smooth integrand.
-    """
+def _gauss_legendre(panels, bins, knots: tuple):
+    """Nodes x, weights w and bin index of a 16-point Gauss-Legendre rule on
+    each panel [a, b], split at the knots inside it so that every piece sees
+    a smooth integrand; the pieces of panels[i] go to bin bins[i]."""
     t, wt = np.polynomial.legendre.leggauss(16)
     xs, ws, idx = [], [], []
-    c, j = 1.0, 0
-    while c > 1e-10:
-        edges = (c / 2.0, *_knots_in(density.knots, c / 2.0, c), c)
+    for (lo, hi), k in zip(panels, bins):
+        edges = (lo, *_knots_in(knots, lo, hi), hi)
         for a, b in zip(edges[:-1], edges[1:]):
             xs.append(0.5 * (b - a) * t + 0.5 * (b + a))
             ws.append(0.5 * (b - a) * wt)
-            idx.append(np.full(len(t), max(j - 3, 0)))
-        c /= 2.0
-        j += 1
+            idx.append(np.full(len(t), k))
     return np.concatenate(xs), np.concatenate(ws), np.concatenate(idx)
+
+
+def _dyadic_samples(density: LevyDensity):
+    """Nodes x, weights w and bin index of a Gauss-Legendre rule on [2^-34, 1].
+
+    The panels are the dyadic intervals [2^-(j+1), 2^-j], j = 0..33.  Bin 0
+    is [1/16, 1]; bin k = 1..30 is [2^-(k+4), 2^-(k+3)], the last one
+    reaching below 1e-10.
+    """
+    return _gauss_legendre([(2.0 ** -(j + 1), 2.0 ** -j) for j in range(34)],
+                           [max(j - 3, 0) for j in range(34)], density.knots)
 
 
 def _alpha_integral_diverges(samples, alpha: float) -> bool:
@@ -845,12 +871,30 @@ def bg_index(density: LevyDensity) -> float:
 
 
 def gamma_index(density: LevyDensity) -> float:
-    """Lower small-jump index: 2 minus log-log slope of G(r) = int_{-r}^{r} x^2 f."""
+    """Lower small-jump index: 2 minus log-log slope of G(r) = int_{-r}^{r} x^2 f.
+
+    G is taken at 48 log-spaced r in [1e-6, 0.1].  With head hints, x^2 f_s
+    is integrated by Gauss-Legendre panels, dyadic from r0 = 2^-34 up to
+    1e-6, then between consecutive r, and the head c_hint |x|^{-1-Y} gives
+    2 c_hint r0^{2-Y}/(2-Y) below r0.  Without hints, one `quad` call per
+    interval [0, 1e-6], [r_i, r_{i+1}].
+    """
     rs = np.geomspace(1e-6, 1e-1, 48)
-    edges = np.concatenate(([0.0], rs))
-    vals = np.cumsum([2.0 * quad(lambda x: x * x * density.f_s(x), a, b,
-                                 **_with_breaks(_QUAD_KW, _knots_in(density.knots, a, b)))[0]
-                      for a, b in zip(edges[:-1], edges[1:])])
+    if density.y_hint is None or density.c_hint is None:
+        edges = np.concatenate(([0.0], rs))
+        incs = [2.0 * quad(lambda x: x * x * density.f_s(x), a, b,
+                           **_with_breaks(_QUAD_KW, _knots_in(density.knots, a, b)))[0]
+                for a, b in zip(edges[:-1], edges[1:])]
+    else:
+        Y, r0 = density.y_hint, 2.0 ** -34
+        # dyadic edges r0 .. 2^-20 < 1e-6, then the r: the panels below 1e-6 form bin 0
+        lo = 2.0 ** np.arange(-34.0, math.floor(math.log2(rs[0])) + 1.0)
+        edges = [*lo, *rs]
+        x, w, idx = _gauss_legendre(list(zip(edges[:-1], edges[1:])),
+                                    [0] * len(lo) + list(range(1, len(rs))), density.knots)
+        incs = 2.0 * np.bincount(idx, weights=x * x * w * density.f_s(x))
+        incs[0] += 2.0 * density.c_hint * r0 ** (2.0 - Y) / (2.0 - Y)
+    vals = np.cumsum(incs)
     if vals[-1] <= 0:
         return 0.0
     slope, _, r2 = linear_fit(np.log(rs), np.log(np.maximum(vals, 1e-300)))

@@ -372,7 +372,7 @@ def _stable1d_fn(alpha, c, beta, tau):
 # --------------------------------------------------------------------------
 
 def _density_builder(name: str, *args):
-    """() -> measures.<name>(*args); measures (and scipy.integrate) load on the call."""
+    """() -> measures.<name>(*args); measures loads on the call."""
     def build():
         from . import measures
         return getattr(measures, name)(*args)

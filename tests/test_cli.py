@@ -102,6 +102,8 @@ def test_config_error_exit_2(cgmy_cfg, tmp_path):
     ("index", "index.tol=-1"),
     ("index", "grid.points_per_decade=2"),
     ("index", "grid.r_min=0.5"),
+    ("price", "freq.N=12"),
+    ("price", "freq.Xi=-1"),
 ])
 def test_unparsable_value_exit_2(tmp_path, capsys, task, override):
     cfg = tmp_path / "c.json"
@@ -469,12 +471,15 @@ def test_symbol_eval_matches_per_point_calls_bitwise(tmp_path, record):
     assert [v.hex() for v in res["im_a"]] == [v.imag.hex() for v in ref]
 
 
+SMALL_CAUCHY = {"process.family": "cauchy", "process.c": 1.0,
+                "freq.N": 256, "freq.Xi": 32.0, "evolve.K": 2, "ineq.trials": 5,
+                "grid.r_max": 1e4, "grid.points_per_decade": 4, "grid.directions": 4,
+                "eval.u_count": 4, "price.x_count": 5, "density.x_count": 5}
+
+
 @pytest.mark.parametrize("task", cli._TASKS)
 def test_run_writes_the_task_json_and_csv(tmp_path, task):
-    cfg = {"task": task, "process.family": "cauchy", "process.c": 1.0,
-           "freq.N": 256, "freq.Xi": 32.0, "evolve.K": 2, "ineq.trials": 5,
-           "grid.r_max": 1e4, "grid.points_per_decade": 4, "grid.directions": 4,
-           "eval.u_count": 4, "price.x_count": 5, "density.x_count": 5}
+    cfg = {"task": task, **SMALL_CAUCHY}
     assert cli.run(cfg, str(tmp_path)) == 0
     expected = {f"{task}.json"} if task == "inequalities" else {f"{task}.json", f"{task}.csv"}
     assert {p.name for p in tmp_path.iterdir()} == expected
@@ -497,7 +502,8 @@ def test_emit_plot_data_matches_per_cell_format(tmp_path):
               np.float64("nan"), np.float64(1e-300), "np")]
     cfg = {"process.family": "cauchy", "freq.Xi": 16.0}
     path = tmp_path / "p.csv"
-    cli.emit_plot_data(rows, ["a", "b", "c", "d", "e", "f"], cfg, str(path))
+    cli.emit_plot_data([list(col) for col in zip(*rows)], ["a", "b", "c", "d", "e", "f"],
+                       cfg, str(path))
     # the reference: every cell through _fmt, one at a time
     head = ["# levysobolev plot data"]
     head += [f"# {k}={cli._fmt(v)}" for k, v in cli._provenance(cfg).items()]
@@ -505,6 +511,45 @@ def test_emit_plot_data_matches_per_cell_format(tmp_path):
     assert path.read_text() == "\n".join([*head, "a,b,c,d,e,f", *body]) + "\n"
     # numpy floats format as the Python floats of the same value
     assert body[-1] == "0.5,-0.0,0.30000000000000004,nan,1e-300,np"
+
+
+class _Renamed(str):
+    def __str__(self):
+        return "renamed"
+
+
+@pytest.mark.parametrize("col", [
+    [True, False], [1, -2], [0.5, -0.0, float("nan"), 5e-324], [np.float64(0.1), np.float64(-0.0)],
+    [0.5, np.float64(2.0)], [1.0, True], [1.0, "a"], ["a", "b,c"], [_Renamed("a"), "b"],
+    [np.True_], [np.int64(3)], [np.float32(0.1)],
+], ids=lambda col: "-".join(type(v).__name__ for v in col))
+def test_column_format_is_the_per_cell_format(col):
+    assert list(cli._fmt_column(col)) == [cli._fmt(v) for v in col]
+
+
+@pytest.mark.parametrize("task", [t for t in cli._TASKS if t != "inequalities"])
+def test_task_csv_is_the_per_cell_format_of_its_columns(tmp_path, monkeypatch, task):
+    seen = []
+    emit = cli.emit_plot_data
+
+    def spy(cols, columns, cfg, path):
+        seen.append((cols, columns))
+        emit(cols, columns, cfg, path)
+
+    monkeypatch.setattr(cli, "emit_plot_data", spy)
+    cfg = {"task": task, **SMALL_CAUCHY}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    [(cols, columns)] = seen
+    assert len(cols) == len(columns) and len({len(col) for col in cols}) == 1
+    body = [ln for ln in (tmp_path / f"{task}.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert body == [",".join(columns), *(",".join(map(cli._fmt, row)) for row in zip(*cols))]
+    if task == "evolve":
+        # its text columns are the per-cell format of the times and modes
+        times = json.loads((tmp_path / "evolve.json").read_text())["result"]["times"]
+        xi = cli._freq_grid(cfg).axis().tolist()
+        assert cols[0] == [cli._fmt(t) for t in times for _ in xi]
+        assert cols[1] == [cli._fmt(v) for _ in times for v in xi]
 
 
 def test_load_config_rejects_non_object(tmp_path):

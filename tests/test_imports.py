@@ -1,6 +1,7 @@
 """What `import levysobolev` and single CLI tasks load: scipy.integrate and
-scipy.special are imported on first use, so each check runs in a fresh
-interpreter (pytest itself imports scipy.integrate for its warning filter)."""
+scipy.special are imported on first use, even by `measures`, so each check
+runs in a fresh interpreter (pytest itself imports scipy.integrate for its
+warning filter)."""
 
 import json
 import subprocess
@@ -24,9 +25,10 @@ def test_import_loads_neither_integrate_nor_special():
 
 
 def test_measures_names_still_import_from_the_package():
+    # measures itself loads neither: its quad and kve import scipy on the call
     code = ("from levysobolev import LevyDensity, bg_index, measures\n"
             "assert LevyDensity is measures.LevyDensity and bg_index is measures.bg_index")
-    assert loaded_after(code) == list(HEAVY)
+    assert loaded_after(code) == []
 
 
 def test_every_lazy_name_is_a_measures_name():
@@ -56,11 +58,14 @@ CGMY = {"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0,
         "process.M": 5.0, "process.Y": 1.5}
 
 
-@pytest.mark.parametrize("task", ["density", "evolve", "inequalities", "price", "symbol-eval"])
+@pytest.mark.parametrize("task", ["density", "evolve", "index", "inequalities", "price",
+                                  "symbol-eval"])
 def test_cgmy_closed_form_task_loads_neither(tmp_path, task):
+    # index: beta and gamma integrate the CGMY density by Gauss-Legendre rules
     assert run_task(tmp_path, task, CGMY) == []
 
 
-def test_cgmy_index_loads_both(tmp_path):
-    # beta and gamma come from the Levy density by quadrature
-    assert run_task(tmp_path, "index", CGMY) == list(HEAVY)
+def test_nig_index_loads_special_only(tmp_path):
+    # the NIG density needs kve; its jump indices make no QUADPACK call
+    cfg = {"process.family": "nig", "process.alpha": 10.0, "process.beta": 2.0}
+    assert run_task(tmp_path, "index", cfg) == ["scipy.special"]

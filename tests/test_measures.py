@@ -343,6 +343,68 @@ def test_symbol_parts_quad_call_count(density, calls, monkeypatch):
     assert count[0] == calls
 
 
+# Exact A_fs, by mpmath at 40 digits: of CGMY(1, 2, 4, 1.5) + NIG(10, 2, 1)
+# from the two closed forms, and of the table below from the piecewise power
+# law it interpolates (its edge law below 1e-7, nothing beyond 20)
+HEAD_SUM_A_FS = {0.3: 0.10096936007994291, 1.7: 3.1615979679939987, 3.0: 9.455776106038735}
+X2_TABLE_A_FS = {0.3: 0.15701941865298347, 1.7: 4.781113665779951, 10.0: 106.58296427293439}
+
+
+def _head_sum():
+    cg, ng = M.cgmy_density(1.0, 2.0, 4.0, 1.5), M.nig_density(10.0, 2.0, 1.0)
+    return M.LevyDensity(f=lambda x: cg.f(x) + ng.f(x), y_hint=1.5, c_hint=1.0,
+                         cutoff=cg.cutoff, name="cgmy+nig",
+                         f_s_exact=lambda x: cg.f_s(x) + ng.f_s(x),
+                         f_as_exact=lambda x: cg.f_as(x) + ng.f_as(x),
+                         levy_condition_proven=True)
+
+
+def _x2_table():
+    xs = np.geomspace(1e-7, 20.0, 80)
+    xs = np.concatenate([-xs[::-1], xs])
+    ax = np.abs(xs)
+    return M.tabulated_density(xs, np.exp(-2.0 * ax) * (ax ** -2.5 + ax ** -2.0))
+
+
+@pytest.mark.parametrize("make, refs", [(_head_sum, HEAD_SUM_A_FS), (_x2_table, X2_TABLE_A_FS)],
+                         ids=["cgmy+nig", "x2-table"])
+def test_second_head_term_within_budget(make, refs):
+    # a second head term at least as singular as x^-2 under Y = 1.5 leaves a
+    # remainder w with (1 - cos ux) w -> const at 0, where 1 - cos(ux) has
+    # lost its digits; the half-angle form keeps them
+    d = make()
+    for u, ref in refs.items():
+        a_fs, _ = M.symbol_parts_from_density(d, u)
+        assert abs(a_fs - ref) <= 0.01 * 1e-9 * (1.0 + u * u)
+
+
+def test_patched_quad_sees_every_later_call(monkeypatch):
+    # M.quad imports scipy on each call and never rebinds the module name,
+    # so a wrapper set after the first call still sees every QUADPACK call
+    import scipy.integrate
+    first = M.quad
+    first(lambda x: x, 0.0, 1.0)
+    assert M.quad is first
+    seen, made = [0], [0]
+    scipy_quad = scipy.integrate.quad
+
+    def counting_scipy(*args, **kwargs):
+        made[0] += 1
+        return scipy_quad(*args, **kwargs)
+
+    def counting(*args, **kwargs):
+        seen[0] += 1
+        return first(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_scipy)
+    monkeypatch.setattr(M, "quad", counting)
+    d = M.nig_density(10.0, 2.0, 1.0)
+    for u in (0.5, 30.0, -100.0):
+        M.symbol_parts_from_density(d, u)
+    M.gamma_index(M.LevyDensity(f=d.f, cutoff=d.cutoff, name="no hints"))
+    assert seen[0] == made[0] > 0
+
+
 def test_nonfinite_part_raises_quadrature_failure():
     f = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.5
 
@@ -638,6 +700,38 @@ def test_dyadic_samples_integrate_each_interval(density, alpha):
 @pytest.mark.parametrize("Y,expect", [(1.2, 1.2)])
 def test_gamma_index_cgmy(Y, expect):
     assert M.gamma_index(M.cgmy_density(1.0, 5.0, 5.0, Y)) == pytest.approx(expect, abs=0.05)
+
+
+def _gamma_by_quad(d):
+    # G(r) by QUADPACK at 1e-13 relative, [0, 1e-6] through x = s^10
+    rs = np.geomspace(1e-6, 1e-1, 48)
+    kn = np.asarray(d.knots)
+    w = lambda x: x * x * d.f_s(x)
+
+    def between(a, b, pts, fn):
+        p = pts[(pts > a) & (pts < b)]
+        return quad(fn, a, b, epsabs=0.0, epsrel=1e-13, limit=200,
+                    points=p if len(p) else None)[0]
+
+    s_hi = rs[0] ** 0.1
+    incs = [between(1e-10, s_hi, kn ** 0.1, lambda s: w(s ** 10) * 10.0 * s ** 9)]
+    incs += [between(a, b, kn, w) for a, b in zip(rs[:-1], rs[1:])]
+    slope = np.polyfit(np.log(rs), np.log(2.0 * np.cumsum(incs)), 1)[0]
+    return float(np.clip(2.0 - slope, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda Y=Y: M.cgmy_density(1.0, 2.0, 4.0, Y) for Y in (0.2, 0.5, 1.5, 1.9)),
+    lambda: M.nig_density(10.0, 2.0, 1.0),
+    lambda: M.gh_expansion_density(0.5, 0.1, 0.05, 1.0),
+    _table,
+    lambda: M.power_law_density(1.0, 1.3),
+], ids=["cgmy0.2", "cgmy0.5", "cgmy1.5", "cgmy1.9", "nig", "gh", "table", "powerlaw"])
+def test_gamma_index_matches_quadrature(make, monkeypatch):
+    d = make()
+    ref = _gamma_by_quad(d)
+    monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad called"))
+    assert abs(M.gamma_index(d) - ref) <= 1e-8
 
 
 def test_gamma_index_bounded():
