@@ -20,15 +20,17 @@ eps = 1e-4 fixed:
     the oscillatory factors cos(ux), sin(ux) delegated to weighted
     (QAWO/QAWF) rules.
 
-Every range away from the origin is integrated by one panel rule: decade
+Both parts go through one region integrator, called on [0, eps] and on
+[eps, r_eff].  Below the oscillation cutoff 30/|u| a range from the origin
+is one `quad` call through the substitution x = s^10, with the knots as
+breakpoints.  Every other range is integrated by one panel rule: decade
 panels [a, min(10 a, hi)], additionally capped at 60 radians of phase
-(width 60/|u|) below the oscillation cutoff 30/|u|, and split at the
-density's `knots` (the nodes of a tabulated density, where it has a kink),
-one `quad` call per panel with values and |errors| summed.  The two ranges
-integrated by a single call take the knots as breakpoints instead.  Beyond
-the cutoff the plain masses int w over the panels do not depend on u; they
-sit on the decade ladder eps*10^k and are cached on the density, panel by
-panel.
+(width 60/|u|) below the cutoff, and split at the density's `knots` (the
+nodes of a tabulated density, where it has a kink), one `quad` call per
+panel with values and |errors| summed.  Beyond the cutoff QAWO takes
+sin(ux) or cos(ux).  For the cosine the cutoff is snapped up to the decade
+ladder eps*10^k; beyond it the plain masses int w over the panels do not
+depend on u and are cached on the density, panel by panel.
 
 The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
 h(x) = x, over the large jumps; local exponents judge that precondition and
@@ -487,8 +489,9 @@ def _panel_sum(fn, panels, kw: dict, density: LevyDensity | None = None,
 
 
 def _osc_tail(w, lo: float, hi: float, u: float, trig: str, limit: int,
-              skip_tol: float, anchor: float | None = None, knots: tuple = ()):
-    """int_lo^hi trig(u x) w(x) dx by QAWO on decade panels split at the knots.
+              skip_tol: float, anchor: float, knots: tuple):
+    """int_lo^hi trig(u x) w(x) dx by QAWO on the panels of the ladder
+    anchor*10^k, split at the knots.
 
     Once the integration-by-parts envelope 2|w(a)|/|u| of the remaining tail
     drops below skip_tol the tail is dropped and counted as error instead.
@@ -529,52 +532,46 @@ def _inner_singular_quad(w, hi: float, kw: dict, knots: tuple = ()):
     return quad(trans, s_lo, s_hi, **_with_breaks(kw, pts))
 
 
-def _one_minus_cos_region(density: LevyDensity, w, lo: float, hi: float,
-                          u: float, kw: dict, skip_tol: float,
-                          anchor: float, tag: str):
-    """int_lo^hi (1 - cos(u x)) w(x) dx for 0 <= lo < hi.
+def _region(density: LevyDensity, w, lo: float, hi: float, u: float, kw: dict,
+            skip_tol: float, anchor: float, kernel: str, tag: str):
+    """int_lo^hi k(u x) w(x) dx, 0 <= lo < hi, for k(t) = 1 - cos t ("cos") or sin t.
 
-    Below x = 30/|u| the full integrand goes through plain adaptive
-    quadrature (no cancellation: everything is evaluated together), in the
-    half-angle form 2 sin(u x/2)^2 w(x): 1 - cos(u x) keeps few correct
-    digits for small u x, which matters when w is as singular as x^-2; beyond
-    it the cosine genuinely oscillates, so the mass and the oscillatory part
-    separate safely.  The boundary is snapped up to the decade ladder
-    anchor*10^k so the u-independent mass pieces are cached per density.
+    Below the oscillation cutoff b = 30/|u| the full integrand goes through
+    adaptive quadrature (no cancellation: everything is evaluated together),
+    from 0 through `_inner_singular_quad`, elsewhere on phase-capped panels;
+    1 - cos(u x) is taken as 2 sin(u x/2)^2, which keeps its digits for small
+    u x where w is as singular as x^-2.  Beyond b QAWO takes the kernel.  For
+    the cosine, b is snapped up to the ladder anchor*10^k and the
+    u-independent mass int w beyond it, cached per panel under `tag`, is
+    taken minus the QAWO-cos part.
     """
     au = abs(u)
-    width = _PHASE_CAP / au
-    knots = density.knots
-    half = 0.5 * u  # QUADPACK passes floats: math.sin is the cheap scalar sine
-    integrand = lambda x: 2.0 * math.sin(half * x) ** 2 * w(x)
-    total, err = 0.0, 0.0
-    a = lo
-    x_osc = 30.0 / au
-    if x_osc > lo:
-        b = min(hi, x_osc)
-        if lo == 0.0:
-            # integrand ~ u^2 x^2 w -> 0 at the origin: a single call works
-            pts = sorted({p for p in (b * 1e-4, b * 1e-2) if lo < p < b}
-                         .union(_knots_in(knots, lo, b)))
-            val, e = quad(integrand, a, b, **_with_breaks(kw, pts))
-        else:
-            val, e = _panel_sum(integrand, _panels(a, b, width, knots=knots), kw)
-        total += val
-        err += abs(e)
+    b = min(hi, 30.0 / au)
+    # QUADPACK passes floats: math.sin is the cheap scalar sine
+    if kernel == "cos":
+        half = 0.5 * u
+        integrand = lambda x: 2.0 * math.sin(half * x) ** 2 * w(x)
+        snap = min(hi, anchor * 10.0 ** np.ceil(np.log10(b / anchor) - 1e-12))
+    else:
+        integrand = lambda x: math.sin(u * x) * w(x)
+        snap = b
+    total, err, a = 0.0, 0.0, lo
+    if lo == 0.0:
+        total, err = _inner_singular_quad(integrand, b, kw, density.knots)
         a = b
+    if a < snap:
+        val, e = _panel_sum(integrand, _panels(a, snap, _PHASE_CAP / au, knots=density.knots), kw)
+        total += val
+        err += e
+        a = snap
     if a < hi:
-        snap = min(hi, anchor * 10.0 ** np.ceil(np.log10(a / anchor) - 1e-12))
-        if a < snap:
-            val, e = _panel_sum(integrand, _panels(a, snap, width, knots=knots), kw)
-            total += val
-            err += e
-            a = snap
-        if a < hi:
-            mass, e1 = _panel_sum(w, _panels(a, hi, anchor=anchor, knots=knots), _QUAD_KW,
-                                  density, tag)
-            osc, e2 = _osc_tail(w, a, hi, u, "cos", kw["limit"], skip_tol, anchor, knots)
-            total += mass - osc
-            err += e1 + e2
+        osc, e = _osc_tail(w, a, hi, u, kernel, kw["limit"], skip_tol, anchor, density.knots)
+        if kernel == "cos":
+            mass, e_mass = _panel_sum(w, _panels(a, hi, anchor=anchor, knots=density.knots),
+                                      _QUAD_KW, density, tag)
+            osc, e = mass - osc, e + e_mass
+        total += osc
+        err += e
     return total, err
 
 
@@ -721,10 +718,9 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
         else:
             head = 0.0
             g = density.f_s
-        rem, e1 = _one_minus_cos_region(density, g, 0.0, eps, u, kw, skip_tol,
-                                        anchor=eps, tag="g")
-        outer, e2 = _one_minus_cos_region(density, density.f_s, eps, density.r_eff, u, kw,
-                                          skip_tol, anchor=eps, tag="fs")
+        rem, e1 = _region(density, g, 0.0, eps, u, kw, skip_tol, eps, "cos", "g")
+        outer, e2 = _region(density, density.f_s, eps, density.r_eff, u, kw, skip_tol,
+                            eps, "cos", "fs")
         beyond, e3, env = _beyond_r_eff(density, moment=False)
         err_acc += e1 + e2 + e3 + env / au
         a_fs = head + 2.0 * (rem + outer) + beyond
@@ -736,22 +732,11 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
         _check_as_integrable(density)
         m1, e_m1 = _first_moment_as(density, eps)
         err_acc += abs(e_m1) + _beyond_r_eff(density, moment=True)[2] / au
-        hi = density.r_eff
-        x1 = float(np.clip(30.0 / au, eps, hi))
-        lo = min(eps, x1)
-        sin_w = lambda x: np.sin(u * x) * density.f_as(x)
-        s_total, e = _inner_singular_quad(sin_w, lo, kw, density.knots)
-        err_acc += abs(e)
-        if lo < x1:
-            val, e = _panel_sum(sin_w, _panels(lo, x1, _PHASE_CAP / au, knots=density.knots), kw)
-            s_total += val
-            err_acc += abs(e)
-        if x1 < hi:
-            s_out, e = _osc_tail(density.f_as, x1, hi, u, "sin", kw["limit"], skip_tol,
-                                 knots=density.knots)
-            s_total += s_out
-            err_acc += abs(e)
-        a_fas = 1j * (2.0 * s_total - u * m1)
+        s_in, e1 = _region(density, density.f_as, 0.0, eps, u, kw, skip_tol, eps, "sin", "")
+        s_out, e2 = _region(density, density.f_as, eps, density.r_eff, u, kw, skip_tol,
+                            eps, "sin", "")
+        err_acc += e1 + e2
+        a_fas = 1j * (2.0 * (s_in + s_out) - u * m1)
 
     return a_fs, a_fas, err_acc
 

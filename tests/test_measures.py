@@ -323,10 +323,10 @@ def test_closed_form_vs_quadrature_cgmy_sub_eps_ladder(u):
 
 
 @pytest.mark.parametrize("density, calls", [
-    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), 110),
-    (M.nig_density(10.0, 2.0, 1.0), 101),
-    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), 111),
-])
+    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), 108),
+    (M.nig_density(10.0, 2.0, 1.0), 100),
+    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), 110),
+], ids=["cgmy", "nig", "gh"])
 def test_symbol_parts_quad_call_count(density, calls, monkeypatch):
     # deterministic work gate: QUADPACK calls of a fresh split over a fixed
     # u sequence, u-independent panel masses cached after the first u
@@ -376,6 +376,55 @@ def test_second_head_term_within_budget(make, refs):
     for u, ref in refs.items():
         a_fs, _ = M.symbol_parts_from_density(d, u)
         assert abs(a_fs - ref) <= 0.01 * 1e-9 * (1.0 + u * u)
+
+
+def _skew_table(sign=1.0):
+    # e^{-2x} and e^{-3|x|} sides under |x|^-1.7: Y < 1, so x f_as is integrable
+    return M.tabulated_density(sign * TABLE_X, np.where(TABLE_X > 0, np.exp(-2.0 * TABLE_X),
+                                                        np.exp(3.0 * TABLE_X))
+                               / np.abs(TABLE_X) ** 1.7)
+
+
+def _gh_differenced():
+    gh = M.gh_expansion_density(0.5, 0.1, 0.05, 1.0)
+    return M.LevyDensity(f=gh.f, y_hint=gh.y_hint, c_hint=gh.c_hint, cutoff=gh.cutoff,
+                         name="gh-differenced")
+
+
+@pytest.mark.parametrize("make, make_ref, scale, flip", [
+    *((lambda Y=Y, c=c: M.cgmy_density(c ** Y, 2.0 / c, 4.0 / c, Y),
+       lambda Y=Y: M.cgmy_density(1.0, 2.0, 4.0, Y), c, 1.0)
+      for Y in (0.5, 1.5, 1.9) for c in (0.5, 3.0)),
+    *((lambda c=c: M.tabulated_density(c * TABLE_X, _table().f(TABLE_X) / c), _table, c, 1.0)
+      for c in (0.5, 3.0)),
+    (lambda: _skew_table(-1.0), _skew_table, 1.0, -1.0),
+    (_gh_differenced, lambda: M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), 1.0, 1.0),
+], ids=[*(f"cgmy{Y}-dilated{c}" for Y in (0.5, 1.5, 1.9) for c in (0.5, 3.0)),
+        "table-dilated0.5", "table-dilated3.0", "skew-table-reflected", "gh-differenced"])
+def test_density_route_metamorphic(make, make_ref, scale, flip):
+    # a density rescaled to x -> c x has the parts of the original at c u,
+    # a reflected one flips A_fas, and differencing f changes nothing; each
+    # pair runs through different panels, knots and cut points
+    d, ref = make(), make_ref()
+    for u in (0.3, 1.7, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6):
+        a_fs, a_fas = M.symbol_parts_from_density(d, u)
+        r_fs, r_fas = M.symbol_parts_from_density(ref, scale * u)
+        tol = 0.01 * 1e-9 * (1.0 + min(u, scale * u) ** 2)
+        assert abs(a_fs - r_fs) <= tol, u
+        assert abs(a_fas - flip * r_fas) <= tol, u
+
+
+@pytest.mark.parametrize("density, params, drift, u", [
+    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), S.CGMYParams(1.0, 2.0, 4.0, 1.5), 0.0, 1e6),
+    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), S.CGMYParams(1.0, 2.0, 4.0, 1.5), 0.0, 3e6),
+    (M.nig_density(10.0, 2.0, 1.0), S.NIGParams(alpha=10.0, beta=2.0, delta=1.0),
+     2.0 / np.sqrt(96.0), 1e6),
+], ids=["cgmy-1e6", "cgmy-3e6", "nig-1e6"])
+def test_parts_at_large_u(density, params, drift, u):
+    # 30/|u| < EPS_INNER: sin(u x) oscillates inside [0, EPS_INNER]
+    a_fs, a_fas = M.symbol_parts_from_density(density, u)
+    closed = S.make_symbol(params)(u)
+    assert abs(1j * u * drift + a_fs + a_fas - closed) <= 1e-3 * 1e-9 * (1.0 + u * u)
 
 
 def test_patched_quad_sees_every_later_call(monkeypatch):
