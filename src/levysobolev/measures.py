@@ -10,7 +10,7 @@ antisymmetric part f_as = f - f_s:
 The integrands are singular at 0 like |x|^{-1-Y}.  Quadrature strategy, with
 eps = 1e-4 fixed:
 
-  * on [-eps, eps] the declared power-law head C/|x|^{1+Y} is integrated
+  * on [-eps, eps] the density's power-law head C/|x|^{1+Y} is integrated
     semi-analytically through the substitution t = |u| x, which reduces it to
     I_Y(z) = int_0^z (1 - cos t) / t^{1+Y} dt at z = eps |u| (series for small
     z, closed-form total minus an oscillatory tail for large z), keeping the
@@ -89,8 +89,10 @@ def kve(v, z):
 class LevyDensity:
     """Lebesgue density of a one-dimensional Levy measure.
 
-    `y_hint`/`c_hint` declare the power-law head f_s(x) ~ c_hint |x|^{-1-Y}
-    near 0 (Y in [0,2)); `finite_variation` tags int_{[-1,1]} |x| f dx < inf;
+    `y_hint`/`c_hint`, declared both or neither, are the head f_s(x) ~
+    c_hint |x|^{-1-Y} near 0, Y in [0, 2); `_read_head` reads an undeclared
+    one, (0.0, 0.0) for none.  The paths have finite variation, and Appendix
+    bound (d) applies, when Y < 1.
     `cutoff` is the radius beyond which f is numerically negligible (may be
     inf when the tail is handled analytically by the weighted rules).
 
@@ -101,8 +103,8 @@ class LevyDensity:
     a scalar for a float x.
 
     `levy_condition_proven` marks a family whose parameter checks prove
-    int (x^2 ^ 1) f dx < inf; `_divergent_end`'s rule for it, which cannot
-    tell Y just below 2 from Y = 2 and runs no quadrature, is then skipped.
+    int (x^2 ^ 1) f dx and int |x f_as| dx finite; `_divergent_end`'s rule for
+    both, blind to Y just below 2 and running no quadrature, is then skipped.
 
     `knots` lists, sorted, the |x| where f is not smooth (the nodes of a
     tabulated density); every quadrature over a range containing one splits
@@ -120,7 +122,6 @@ class LevyDensity:
     f: Callable[[np.ndarray], np.ndarray]
     y_hint: Optional[float] = None
     c_hint: Optional[float] = None
-    finite_variation: Optional[bool] = None
     cutoff: float = np.inf
     name: str = "density"
     f_s_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -130,8 +131,8 @@ class LevyDensity:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.y_hint is not None and not 0.0 <= self.y_hint < 2.0:
-            raise InvalidParams("singularity hint Y must lie in [0, 2)")
+        if (self.y_hint is None) != (self.c_hint is None) or not 0.0 <= (self.y_hint or 0.0) < 2.0:
+            raise InvalidParams("the head needs both y_hint, in [0, 2), and c_hint, or neither")
         xs = np.geomspace(1e-8, min(self.cutoff, 1e3), 40)
         try:
             vals = np.concatenate([self.f(xs), self.f(-xs)])
@@ -150,6 +151,9 @@ class LevyDensity:
             raise InvalidParams("f_s failed the symmetry check")
         if np.any(np.abs(fa) > fs * (1.0 + 1e-12) + 1e-300):
             raise InvalidParams("antisymmetric part exceeds symmetric part")
+        if self.y_hint is None:
+            for name, val in zip(("y_hint", "c_hint"), _read_head(self)):
+                object.__setattr__(self, name, val)
 
     @cached_property
     def f_s(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -174,7 +178,7 @@ class LevyDensity:
     @cached_property
     def pure_head(self) -> bool:
         """True when f_s is exactly its power-law head on the whole line."""
-        if self.y_hint is None or not self.c_hint or not np.isinf(self.cutoff):
+        if not self.c_hint or not np.isinf(self.cutoff):
             return False
         xs = np.geomspace(1e-8, 1e6, 30)
         head = self.c_hint / xs ** (1.0 + self.y_hint)
@@ -248,8 +252,8 @@ def cgmy_density(C: float, G: float, M: float, Y: float) -> LevyDensity:
     f_as = _off_origin(lambda ax: as_scale * np.exp(-lo_rate * ax) * np.expm1(-gap * ax)
                        / ax ** (1.0 + Y), odd=True)
 
-    return LevyDensity(f=f, y_hint=Y, c_hint=C, finite_variation=Y < 1.0,
-                       cutoff=740.0 / min(G, M), name=f"cgmy(C={C},G={G},M={M},Y={Y})",
+    return LevyDensity(f=f, y_hint=Y, c_hint=C, cutoff=740.0 / min(G, M),
+                       name=f"cgmy(C={C},G={G},M={M},Y={Y})",
                        f_s_exact=f_s, f_as_exact=f_as, levy_condition_proven=True)
 
 
@@ -281,7 +285,7 @@ def nig_density(alpha: float, beta: float = 0.0, delta: float = 1.0) -> LevyDens
     f_s = _off_origin(lambda ax: kernel(ax, False))
     f_as = _off_origin(lambda ax: kernel(ax, True), odd=True)
 
-    return LevyDensity(f=f, y_hint=1.0, c_hint=delta / np.pi, finite_variation=False,
+    return LevyDensity(f=f, y_hint=1.0, c_hint=delta / np.pi,
                        cutoff=740.0 / (alpha - abs(beta)),
                        name=f"nig(alpha={alpha},beta={beta},delta={delta})",
                        f_s_exact=f_s, f_as_exact=f_as, levy_condition_proven=True)
@@ -297,7 +301,7 @@ def power_law_density(coef: float, Y: float) -> LevyDensity:
         with np.errstate(divide="ignore"):
             return np.where(ax > 0, coef / ax ** (1.0 + Y), 0.0)
 
-    return LevyDensity(f=f, y_hint=Y, c_hint=coef, finite_variation=Y < 1.0,
+    return LevyDensity(f=f, y_hint=Y, c_hint=coef,
                        cutoff=np.inf, name=f"powerlaw(c={coef},Y={Y})",
                        levy_condition_proven=True)
 
@@ -339,7 +343,7 @@ def gh_expansion_density(C1: float, C2: float = 0.0, C3: float = 0.0,
     f_as = clamped(_off_origin(lambda ax: C3 / ax * np.exp(-damping * ax), odd=True),
                    _differenced(f, -1.0))
 
-    return LevyDensity(f=f, y_hint=1.0, c_hint=C1, finite_variation=False,
+    return LevyDensity(f=f, y_hint=1.0, c_hint=C1,
                        cutoff=740.0 / damping, name="gh_expansion",
                        f_s_exact=f_s, f_as_exact=f_as)
 
@@ -348,8 +352,8 @@ def tabulated_density(x_points, f_values) -> LevyDensity:
     """Log-log interpolation of (x, f(x)) samples, one branch per sign of x.
 
     Beyond the table each branch continues as the power law of its edge
-    segment.  The nodes are the density's knots.  The head hints y_hint and
-    c_hint are fitted on the innermost quarter of the x > 0 samples.
+    segment.  The nodes are the density's knots.  The head is the law f_s
+    follows below the smallest node, read as for any density without one.
     """
     x_points = np.asarray(x_points, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
@@ -392,13 +396,7 @@ def tabulated_density(x_points, f_values) -> LevyDensity:
     f_s = _off_origin(lambda ax: half(ax, 1.0))
     f_as = _off_origin(lambda ax: half(ax, -1.0), odd=True)
 
-    lx, lf = lx_pos[1:-1], lf_pos[1:-1]
-    inner = slice(0, max(2, len(lx) // 4))
-    slope = linear_fit(lx[inner], lf[inner])[0]
-    y_hint = float(np.clip(-slope - 1.0, 0.0, 1.999))
-    c_hint = float(np.exp(lf[0] + (1.0 + y_hint) * lx[0]))
-    return LevyDensity(f=f, y_hint=y_hint, c_hint=c_hint, finite_variation=None,
-                       cutoff=float(np.abs(x_points).max()), name="tabulated",
+    return LevyDensity(f=f, cutoff=float(np.abs(x_points).max()), name="tabulated",
                        f_s_exact=f_s, f_as_exact=f_as,
                        knots=tuple(np.unique(np.abs(x_points)).tolist()))
 
@@ -589,17 +587,31 @@ def _first_moment_as(density: LevyDensity, eps: float):
     return density._cache[key]
 
 
+def _near_zero(density: LevyDensity) -> np.ndarray:
+    """24 log points on the six decades below EPS_INNER and every knot (no table/head mix)."""
+    hi = min((EPS_INNER, *density.knots))
+    return np.geomspace(1e-10 * (hi / EPS_INNER), hi, 24)
+
+
+def _read_head(density: LevyDensity) -> tuple:
+    """(Y, c) of the law c |x|^{-1-Y} through f_s at the two smallest
+    `_near_zero` points, Y capped at 1.999, or (0.0, 0.0) unless Y > 0 (a fit
+    over all 24 points would mix in a factor such as CGMY's e^{-G x})."""
+    xs = _near_zero(density)[:2]
+    f0, f1 = density.f_s(xs)
+    y = min(math.log(f1 / f0) / math.log(xs[0] / xs[1]) - 1.0, 1.999) if min(f0, f1) > 0 else 0.0
+    return (y, float(f0 * xs[0] ** (1.0 + y))) if y > 0.0 else (0.0, 0.0)
+
+
 def _divergent_end(density: LevyDensity, g):
     """(end, local exponent) where int g dx appears divergent, or None.
 
-    The exponent of |g(x)| + |g(-x)| on 24 log points must exceed -0.98 over
-    six decades below EPS_INNER or the smallest knot (a fit across a knot
-    would mix a table with its extrapolated head) and, with an infinite
-    cutoff, stay below -1.02 on [1e2, 1e4].  An end where g vanishes (below
-    1e-250) passes.  No quadrature is run.
+    The exponent of |g(x)| + |g(-x)| on the `_near_zero` points must exceed
+    -0.98 and, with an infinite cutoff, stay below -1.02 on 24 log points of
+    [1e2, 1e4].  An end where g vanishes (below 1e-250) passes.  No
+    quadrature is run.
     """
-    hi = min((EPS_INNER, *density.knots))
-    ends = [(np.geomspace(1e-10 * (hi / EPS_INNER), hi, 24), 1.0, -0.98, "near 0")]
+    ends = [(_near_zero(density), 1.0, -0.98, "near 0")]
     if np.isinf(density.cutoff):
         ends.append((np.geomspace(1e2, 1e4, 24), -1.0, 1.02, "over |x| > 1"))
     for xs, sign, bound, where in ends:
@@ -614,10 +626,10 @@ def _divergent_end(density: LevyDensity, g):
 
 def _check_as_integrable(density: LevyDensity) -> None:
     """DivergentIntegral unless int |x f_as| dx converges by `_divergent_end`'s
-    rule; a pass is cached.  With an infinite cutoff the truncation h(x) = x
-    also needs the large-jump moment.  A symmetric heavy tail has f_as = 0.
+    rule, unless `levy_condition_proven`; a pass is cached.  With an infinite
+    cutoff h(x) = x also needs the large-jump moment.  f_as = 0 passes.
     """
-    if ("as_integrable",) in density._cache:
+    if density.levy_condition_proven or ("as_integrable",) in density._cache:
         return
     end = _divergent_end(density, lambda x: x * density.f_as(x))
     if end is not None:
@@ -698,9 +710,8 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
     kw["epsabs"] = max(_QUAD_KW["epsabs"], budget / (64.0 * refine))
     err_acc = 0.0
 
-    Y = density.y_hint
-    C = density.c_hint if density.c_hint is not None else 0.0
-    use_head = Y is not None and C > 0.0 and Y > 0.0
+    Y, C = density.y_hint, density.c_hint
+    use_head = C > 0.0 and Y > 0.0
 
     # drop oscillatory tails only once they are irrelevant both absolutely
     # and relative to the budget (the envelope decays fast, so this costs
@@ -858,27 +869,19 @@ def bg_index(density: LevyDensity) -> float:
 def gamma_index(density: LevyDensity) -> float:
     """Lower small-jump index: 2 minus log-log slope of G(r) = int_{-r}^{r} x^2 f.
 
-    G is taken at 48 log-spaced r in [1e-6, 0.1].  With head hints, x^2 f_s
-    is integrated by Gauss-Legendre panels, dyadic from r0 = 2^-34 up to
-    1e-6, then between consecutive r, and the head c_hint |x|^{-1-Y} gives
-    2 c_hint r0^{2-Y}/(2-Y) below r0.  Without hints, one `quad` call per
-    interval [0, 1e-6], [r_i, r_{i+1}].
+    G is taken at 48 log-spaced r in [1e-6, 0.1]: Gauss-Legendre panels of x^2 f_s,
+    dyadic from r0 = 2^-34 up to 1e-6, then between consecutive r, plus the
+    head's 2 c_hint r0^{2-Y}/(2-Y) below r0.  No `quad` call is made.
     """
     rs = np.geomspace(1e-6, 1e-1, 48)
-    if density.y_hint is None or density.c_hint is None:
-        edges = np.concatenate(([0.0], rs))
-        incs = [2.0 * quad(lambda x: x * x * density.f_s(x), a, b,
-                           **_with_breaks(_QUAD_KW, _knots_in(density.knots, a, b)))[0]
-                for a, b in zip(edges[:-1], edges[1:])]
-    else:
-        Y, r0 = density.y_hint, 2.0 ** -34
-        # dyadic edges r0 .. 2^-20 < 1e-6, then the r: the panels below 1e-6 form bin 0
-        lo = 2.0 ** np.arange(-34.0, math.floor(math.log2(rs[0])) + 1.0)
-        edges = [*lo, *rs]
-        x, w, idx = _gauss_legendre(list(zip(edges[:-1], edges[1:])),
-                                    [0] * len(lo) + list(range(1, len(rs))), density.knots)
-        incs = 2.0 * np.bincount(idx, weights=x * x * w * density.f_s(x))
-        incs[0] += 2.0 * density.c_hint * r0 ** (2.0 - Y) / (2.0 - Y)
+    Y, r0 = density.y_hint, 2.0 ** -34
+    # dyadic edges r0 .. 2^-20 < 1e-6, then the r: the panels below 1e-6 form bin 0
+    lo = 2.0 ** np.arange(-34.0, math.floor(math.log2(rs[0])) + 1.0)
+    edges = [*lo, *rs]
+    x, w, idx = _gauss_legendre(list(zip(edges[:-1], edges[1:])),
+                                [0] * len(lo) + list(range(1, len(rs))), density.knots)
+    incs = 2.0 * np.bincount(idx, weights=x * x * w * density.f_s(x))
+    incs[0] += 2.0 * density.c_hint * r0 ** (2.0 - Y) / (2.0 - Y)
     vals = np.cumsum(incs)
     if vals[-1] <= 0:
         return 0.0
@@ -939,8 +942,8 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid) -> BoundReport:
       a)  A_fs(u) <= C (1 + |u|^Y)
       b)  A_fs(u) >= C1 |u|^Y - C2 (1 + |u|^{Y/2}),  C1 > 0
       c)  |A_fas(u)| <= C (1 + |u|^{max(1,Y)})          (Y != 1 only)
-      d)  |Im A(u)| <= C (1 + |u|^Y) for the finite-variation drift
-          b = int x F(dx), i.e. Im A(u) = int sin(ux) f_as(x) dx.
+      d)  |Im A(u)| <= C (1 + |u|^Y) for the drift b = int x F(dx) of a head
+          with Y < 1 (finite variation), i.e. Im A(u) = int sin(ux) f_as(x) dx.
 
     Each constant is fitted as the extremal ratio over the grid; the verdict
     asks whether the bound is *asymptotically sustainable*: the fitted ratio
@@ -986,7 +989,7 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid) -> BoundReport:
         parts["c"] = _upper_bound(us, mag / (1.0 + us ** max(1.0, Y)))
 
     # d) finite-variation drift bound
-    if density.finite_variation:
+    if density.y_hint < 1.0:
         m1, _ = _first_moment_as(density, EPS_INNER)
         mag_d = np.abs(a_fas.imag + us * m1)  # = |int sin(ux) f_as dx|
         if np.all(mag_d < 1e-250):

@@ -302,9 +302,6 @@ def _gamma(x: float) -> float:
     x with |x| <= 2 and for x = 1, 2: Cephes's steps in Cephes's order.
     The returns inside the loops are its `small` branch near a pole."""
     z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
     while x < 0.0:
         if x > -1e-9:
             return z / ((1.0 + 0.5772156649015329 * x) * x)

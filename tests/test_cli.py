@@ -280,6 +280,28 @@ def test_price_task_gaussian(tmp_path):
     assert doc["result"]["value"][1] == pytest.approx(np.exp(-0.25) / np.sqrt(2), abs=1e-8)
 
 
+def test_price_task_hermite_payoff_at_tau_zero(tmp_path, capsys):
+    # at tau = 0 the price is the payoff h_n(x) = H_n(x) e^{-x^2/2} itself
+    from scipy.special import eval_hermite
+    cfg = tmp_path / "h.json"
+    cfg.write_text(json.dumps({
+        "process.family": "cauchy", "process.c": 1.0, "freq.N": 1024, "freq.Xi": 32.0,
+        "payoff.kind": "hermite", "price.tau": 0.0,
+        "price.x_points": "-2.0,-0.7,0.0,0.3,1.5,3.0",
+    }))
+    for n in range(5):
+        out = tmp_path / f"out{n}"
+        assert cli.main(["price", "--config", str(cfg), "--set", f"payoff.order={n}",
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "price.json").read_text())["result"]
+        x, value = np.array(doc["x"]), np.array(doc["value"])
+        assert np.abs(value - eval_hermite(n, x) * np.exp(-x ** 2 / 2)).max() <= 1.5e-14
+    code = cli.main(["price", "--config", str(cfg), "--set", "payoff.kind=box",
+                     "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert "unknown payoff kind 'box'" in capsys.readouterr().err
+
+
 def test_density_task_cauchy(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({

@@ -16,6 +16,7 @@ from levysobolev.errors import (
     TailUnbounded,
     UnknownFamily,
 )
+from levysobolev.fitting import linear_fit
 
 # ---------------------------------------------------------------------------
 # grid
@@ -85,6 +86,26 @@ def test_garding_nonpositive_real_part():
         lambda pts: 1j * pts[:, 0], d=1, family="pure-drift")
     with pytest.raises(NonpositiveRealPart):
         I.fit_garding_exponent(drift_only)
+
+
+def test_garding_fit_advances_its_window():
+    # on [1, 100] CGMY(1, 5, 5, 0.5) still bends toward its r^0.5 law: the
+    # top-half fit has R^2 0.992 < 0.995, so the window moves up the radii
+    sym = S.make_symbol(S.CGMYParams(1.0, 5.0, 5.0, 0.5))
+    r, vals = I._ray_values(sym, I.GridSpec(r_min=1.0, r_max=100.0))
+    win = I._top_half(r)
+    plain = linear_fit(np.log(r[win]), np.log(vals.real[0, win]))
+    assert plain[0] == pytest.approx(0.9039, abs=1e-4) and plain[2] < 0.995
+    alpha, diag = I._garding_fit(r, vals)
+    assert alpha == pytest.approx(0.8276, abs=1e-4)
+    assert diag["r2_min"] == pytest.approx(0.9965, abs=1e-4)
+
+
+def test_index_verdict_records_a_nonpositive_real_part():
+    # a pure drift has Re A = 0: no Garding fit and no index, with the reason
+    rep = I.index_verdict(S.make_symbol(S.BrownianParams(sigma=0.0, b=1.0)))
+    assert rep.sobolev_index is None and rep.alpha_gard is None
+    assert rep.diagnostics["garding"] == "nonpositive real part on fit range"
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +182,15 @@ def test_index_report_round_trip(cgmy15):
     rec = rep.to_record()
     back = I.IndexReport.from_record(rec)
     assert back.to_record() == rec
+
+
+def test_d3_brownian_index():
+    # d = 3 samples seeded random unit directions
+    dirs = I.GridSpec().directions(3)
+    assert dirs.shape == (32, 3)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+    sym = S.make_symbol(S.BrownianParams(sigma=tuple(map(tuple, np.eye(3))), b=(0.0,) * 3))
+    assert I.sobolev_index(sym).sobolev_index == pytest.approx(2.0, abs=1e-12)
 
 
 def test_d2_nig_index():

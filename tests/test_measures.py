@@ -48,7 +48,7 @@ def test_split_symmetric_density_has_zero_antisymmetric_part():
 def test_split_direct_algebra():
     base = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.2
     f = lambda x: base(np.asarray(x, dtype=float)) * (1.0 + 0.5 * np.sign(x))
-    d = M.LevyDensity(f=f, y_hint=0.2, c_hint=1.0, finite_variation=True,
+    d = M.LevyDensity(f=f, y_hint=0.2, c_hint=1.0,
                       cutoff=700.0, name="skewed")
     sp = M.split_symmetric(d)
     xs = np.array([0.3, 1.1, -0.4])
@@ -194,14 +194,16 @@ def test_antisymmetric_integrability_is_probed_once(monkeypatch):
         calls[0] += 1
         return fit(*args)
 
+    # GH proves no moment by its parameters, so it is probed; building it
+    # runs the Levy-condition rule, before the count starts
+    d = M.gh_expansion_density(0.5, 0.1, 0.05, 1.0)
     monkeypatch.setattr(M, "linear_fit", counting_fit)
-    d = M.cgmy_density(1.0, 2.0, 4.0, 1.5)
     for u in (3.0, 30.0, -5.0):
         M.symbol_parts_from_density(d, u)
     assert calls[0] == 1
     # a divergent first moment is refused on every call, and nothing is cached
     f = lambda x: (1.0 + 0.9 * np.sign(x)) * np.exp(-np.abs(x)) / np.abs(x) ** 2.2
-    skew = M.LevyDensity(f=f, y_hint=1.2, c_hint=1.0, finite_variation=False,
+    skew = M.LevyDensity(f=f, y_hint=1.2, c_hint=1.0,
                          cutoff=700.0, name="skew-heavy")
     calls[0] = 0
     for u in (2.0, 2.0, 7.0):
@@ -391,6 +393,54 @@ def _gh_differenced():
                          name="gh-differenced")
 
 
+def _hintless_cgmy(C, G, M_, Y):
+    # the CGMY density with its exact parts but no declared head: it reads one
+    c = M.cgmy_density(C, G, M_, Y)
+    return M.LevyDensity(f=c.f, cutoff=c.cutoff, name="cgmy-hintless",
+                         f_s_exact=c.f_s_exact, f_as_exact=c.f_as_exact)
+
+
+def test_read_head_is_the_law_below_the_knots():
+    # a table's head is the law it extrapolates below its smallest node, the
+    # same for a table and its reflection; a hint-less CGMY reads its own
+    d, r = _skew_table(), _skew_table(-1.0)
+    assert (d.y_hint, d.c_hint) == (r.y_hint, r.c_hint)
+    assert d.y_hint == pytest.approx(0.7, abs=1e-6)
+    h = _hintless_cgmy(1.0, 2.0, 4.0, 1.5)
+    assert h.y_hint == pytest.approx(1.5, abs=1e-9)
+    assert h.c_hint == pytest.approx(1.0, rel=1e-7)
+    # bounded at 0: no head; a declared head is kept, and survives a copy
+    gauss = M.LevyDensity(f=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
+                          cutoff=10.0, name="gauss")
+    assert (gauss.y_hint, gauss.c_hint) == (0.0, 0.0)
+    copy = dataclasses.replace(d, knots=())
+    assert (copy.y_hint, copy.c_hint) == (d.y_hint, d.c_hint)
+    with pytest.raises(InvalidParams, match=r"both y_hint, in \[0, 2\), and c_hint"):
+        M.LevyDensity(f=gauss.f, y_hint=0.5, cutoff=10.0)
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 4.0, 1.9), (1.0, 5.0, 5.0, 1.9)],
+                         ids=["skew", "symmetric"])
+def test_hintless_cgmy_parts_match_closed_form(args):
+    # the head read off f_s takes the x^{-1-Y} singularity analytically;
+    # without it the remainder x^{1-Y} lost its integral below 1e-100
+    d, sym = _hintless_cgmy(*args), S.make_symbol(S.CGMYParams(*args))
+    for u in (1.0, 10.0, 100.0, 1e4):
+        a_fs, a_fas = M.symbol_parts_from_density(d, u)
+        assert abs(a_fs + a_fas - sym(u)) <= 1e-3 * 1e-9 * (1.0 + u * u), u
+
+
+@pytest.mark.parametrize("G, M_", [(2.0, 4.0), (5.0, 5.5), (4.0, 2.0)])
+def test_skewed_cgmy_near_y_two_is_not_refused(G, M_):
+    # x f_as ~ x^{-Y} (M - G) x is integrable for every Y < 2; the family
+    # proves it, so the local-exponent rule, blind just below Y = 2, is skipped
+    sym = S.make_symbol(S.CGMYParams(1.0, G, M_, 1.985))
+    d = M.cgmy_density(1.0, G, M_, 1.985)
+    for u in (1.0, 10.0, 100.0, 1e4):
+        a_fs, a_fas = M.symbol_parts_from_density(d, u)
+        assert abs(a_fs + a_fas - sym(u)) <= 0.05 * 1e-9 * (1.0 + u * u), u
+
+
 @pytest.mark.parametrize("make, make_ref, scale, flip", [
     *((lambda Y=Y, c=c: M.cgmy_density(c ** Y, 2.0 / c, 4.0 / c, Y),
        lambda Y=Y: M.cgmy_density(1.0, 2.0, 4.0, Y), c, 1.0)
@@ -461,7 +511,7 @@ def test_nonfinite_part_raises_quadrature_failure():
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) < 1.0, 0.5 * np.sign(x) * f(x), np.nan)
 
-    d = M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0, finite_variation=True,
+    d = M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0,
                       cutoff=50.0, name="nan-tail", f_as_exact=f_as)
     sp = M.split_symmetric(d)
     with pytest.raises(QuadratureFailure, match="non-finite"), \
@@ -581,7 +631,7 @@ def test_a_fas_purely_imaginary():
 def test_divergent_antisymmetric_first_moment():
     # |x f_as| ~ |x|^{-1.2} near 0: the Lemma precondition fails
     f = lambda x: (1.0 + 0.9 * np.sign(x)) * np.exp(-np.abs(x)) / np.abs(x) ** 2.2
-    d = M.LevyDensity(f=f, y_hint=1.2, c_hint=1.0, finite_variation=False,
+    d = M.LevyDensity(f=f, y_hint=1.2, c_hint=1.0,
                       cutoff=700.0, name="skew-heavy")
     sp = M.split_symmetric(d)
     with pytest.raises(DivergentIntegral):
@@ -699,7 +749,7 @@ def test_bg_index_cgmy(Y, expect):
 
 def test_bg_index_bounded_density():
     d = M.LevyDensity(f=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-                      finite_variation=True, cutoff=10.0, name="gauss")
+                      cutoff=10.0, name="gauss")
     assert M.bg_index(d) == 0.0
 
 
@@ -709,7 +759,7 @@ def test_bg_index_inconsistent_raises():
     f = lambda x: np.where(np.abs(x) < 1e-3,
                            1.0 / np.abs(x) ** 1.5,
                            1e-3 ** 0.7 / np.abs(x) ** 2.2) * np.exp(-np.abs(x))
-    d = M.LevyDensity(f=f, finite_variation=False, cutoff=700.0, name="kinked")
+    d = M.LevyDensity(f=f, cutoff=700.0, name="kinked")
     with pytest.raises((Inconsistent, M.FitUnstable)):
         M.bg_index(d)
 
@@ -775,7 +825,13 @@ def _gamma_by_quad(d):
     lambda: M.gh_expansion_density(0.5, 0.1, 0.05, 1.0),
     _table,
     lambda: M.power_law_density(1.0, 1.3),
-], ids=["cgmy0.2", "cgmy0.5", "cgmy1.5", "cgmy1.9", "nig", "gh", "table", "powerlaw"])
+    _x2_table,
+    _skew_table,
+    lambda: _skew_table(-1.0),
+    *(lambda Y=Y: _hintless_cgmy(1.0, 2.0, 4.0, Y) for Y in (0.5, 1.5)),
+], ids=["cgmy0.2", "cgmy0.5", "cgmy1.5", "cgmy1.9", "nig", "gh", "table", "powerlaw",
+        "x2-table", "skew-table", "skew-table-reflected", "hintless-cgmy0.5",
+        "hintless-cgmy1.5"])
 def test_gamma_index_matches_quadrature(make, monkeypatch):
     d = make()
     ref = _gamma_by_quad(d)
@@ -785,7 +841,7 @@ def test_gamma_index_matches_quadrature(make, monkeypatch):
 
 def test_gamma_index_bounded():
     d = M.LevyDensity(f=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-                      finite_variation=True, cutoff=10.0, name="gauss")
+                      cutoff=10.0, name="gauss")
     assert M.gamma_index(d) == 0.0
 
 
@@ -834,7 +890,7 @@ def test_appendix_bounds_asymmetric_fv(bound_grid):
 def test_appendix_bounds_power_law_finite_variation(bound_grid):
     # Y < 1: int_{[-1,1]} |x| f dx = 2 coef/(1 - Y) is finite, so part d applies
     d = M.power_law_density(1.0, 0.5)
-    assert d.finite_variation
+    assert d.y_hint < 1.0
     rep = M.verify_appendix_bounds(d, 0.5, bound_grid)
     assert rep.parts["d"].applicable and rep.parts["d"].passed
 

@@ -404,8 +404,8 @@ def test_catalog_density_is_built_on_first_access(params, reference, monkeypatch
     x = np.concatenate([-np.geomspace(1e-8, 50.0, 97), [0.0], np.geomspace(1e-8, 50.0, 97)])
     for part in ("f", "f_s_exact", "f_as_exact"):
         np.testing.assert_array_equal(getattr(dens, part)(x), getattr(ref, part)(x))
-    assert (dens.y_hint, dens.c_hint, dens.finite_variation, dens.cutoff, dens.name) == \
-        (ref.y_hint, ref.c_hint, ref.finite_variation, ref.cutoff, ref.name)
+    assert (dens.y_hint, dens.c_hint, dens.cutoff, dens.name) == \
+        (ref.y_hint, ref.c_hint, ref.cutoff, ref.name)
 
 
 def test_symbols_without_a_density():
