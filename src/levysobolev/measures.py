@@ -13,33 +13,31 @@ eps = 1e-4 fixed:
   * on [-eps, eps] the density's power-law head C/|x|^{1+Y} is integrated
     semi-analytically through the substitution t = |u| x, which reduces it to
     I_Y(z) = int_0^z (1 - cos t) / t^{1+Y} dt at z = eps |u| (series for small
-    z, closed-form total minus an oscillatory tail for large z), keeping the
+    z, closed-form total minus a Filon tail for large z), keeping the
     achieved tolerance uniform in u;
   * the remainder f_s - C/|x|^{1+Y} on [-eps, eps] and everything outside is
-    handled by adaptive quadrature, 1 - cos(ux) taken as 2 sin(ux/2)^2, with
-    the oscillatory factors cos(ux), sin(ux) delegated to weighted
-    (QAWO/QAWF) rules.
+    integrated by numpy array rules, 1 - cos(ux) taken as 2 sin(ux/2)^2.
 
-Both parts go through one region integrator, called on [0, eps] and on
-[eps, r_eff].  Below the oscillation cutoff 30/|u| a range from the origin
-is one `quad` call through the substitution x = s^10, with the knots as
-breakpoints.  Every other range is integrated by one panel rule: decade
-panels [a, min(10 a, hi)], additionally capped at 60 radians of phase
-(width 60/|u|) below the cutoff, and split at the density's `knots` (the
-nodes of a tabulated density, where it has a kink), one `quad` call per
-panel with values and |errors| summed.  Beyond the cutoff QAWO takes
-sin(ux) or cos(ux).  For the cosine the cutoff is snapped up to the decade
-ladder eps*10^k; beyond it the plain masses int w over the panels do not
-depend on u and are cached on the density, panel by panel.
+Each part is one globally adaptive run over [0, r_eff] (`_integrate`): every
+round evaluates f_s or f_as once, at the nodes of all new panels, and bisects
+the panels whose error is largest.  Below the oscillation cutoff 30/|u| the
+rule is QUADPACK's 21-point Gauss-Kronrod pair with its error estimate: from
+the origin in s of x = s^10, on panels graded toward s = 0 plus the
+geometric remainder below them, elsewhere on geometric thirds of decade
+panels.  Beyond the cutoff a Filon-Clenshaw-Curtis rule interpolates w on 25
+Chebyshev points and takes sin(ux) or 1 - cos(ux) exactly through modified
+Chebyshev moments (Piessens and Branders), its error the distance to the
+13-point result.  Panels split at eps and at the density's `knots` (the
+nodes of a tabulated density, where it has a kink).  The u-independent
+first moment of f_as and the tails beyond r_eff use the same rules and are
+cached on the density.
 
 The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
 h(x) = x, over the large jumps; local exponents judge that precondition and
 DivergentIntegral is raised when it fails.  With an infinite cutoff, the mass
 of f_s and the first moment of f_as beyond the outer limit r_eff are added
-when r_eff stops at its cap.  QUADPACK passes one float at a time; the
-built-in parts evaluate it as a numpy scalar.  scipy is imported on the
-first QUADPACK call (`quad`) or Bessel evaluation (`kve`), not with the
-module.
+when r_eff stops at its cap.  No QUADPACK call is made; scipy is imported
+only for a Bessel evaluation (`kve`) or an explicit `quad` call.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from .symbols import Symbol, _gamma, symbol_from_callable
 
 EPS_INNER = 1e-4          # fixed split radius between singular head and the rest
 _SERIES_CUT = 4.0         # switch point for I_Y between series and tail form
-_PHASE_CAP = 60.0         # radians of phase per panel below the oscillation cutoff
 _QUAD_KW = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 _TREND_TOL = 0.05         # log-log slope tolerance of the Appendix bound verdicts
 
@@ -67,9 +64,9 @@ _TREND_TOL = 0.05         # log-log slope tolerance of the Appendix bound verdic
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on each call.
 
-    scipy.integrate costs about 0.3 s of import that a task making no
-    QUADPACK call need not pay.  The name is looked up at call time and
-    never rebound, so a wrapper set on `measures.quad` sees every call.
+    The density route no longer calls it.  The name is looked up at call
+    time and never rebound, so a wrapper set on `measures.quad` sees every
+    call made through it.
     """
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
@@ -112,8 +109,8 @@ class LevyDensity:
 
     The density carries its parts f = f_s + f_as, f_s even and f_as odd,
     checked at construction for symmetry and |f_as| <= f_s, and a cache of
-    the u-independent quadrature results, ("m1", eps) and (tag, a, b) per
-    panel, of the f_s mass and f_as moment beyond r_eff, of whether f_as
+    the u-independent quadrature results, the first moment ("m1", eps) of
+    f_as and the f_s mass and f_as moment beyond r_eff, of whether f_as
     vanishes and of a passed f_as integrability check; a copy made by
     `dataclasses.replace` starts with an empty cache.  InvalidParams when f
     raises TypeError or ValueError on a float array.
@@ -188,17 +185,6 @@ class LevyDensity:
 def _knots_in(knots, a: float, b: float) -> tuple:
     """The knots strictly inside (a, b)."""
     return knots[bisect_right(knots, a):bisect_left(knots, b)]
-
-
-def _with_breaks(kw: dict, pts) -> dict:
-    """`quad` keywords kw plus breakpoints pts, if any.
-
-    QUADPACK refuses more breakpoints than its subinterval limit, so a dense
-    table raises the limit.
-    """
-    if not pts:
-        return kw
-    return dict(kw, points=pts, limit=max(kw["limit"], 2 * len(pts)))
 
 
 def _differenced(f, sign: float):
@@ -437,10 +423,260 @@ def _head_partial(z: float, Y: float) -> float:
             sign = -sign
             fact *= (2 * k + 1) * (2 * k + 2)
         return total
-    # large z: total minus the tail; tail = z^{-Y}/Y - int_z^inf cos(t) t^{-1-Y} dt
-    osc = quad(lambda t: t ** (-1.0 - Y), z, np.inf, weight="cos", wvar=1.0,
-               epsabs=1e-13, limlst=200, limit=400)[0]
-    return _head_total(Y) - (z ** (-Y) / Y - osc)
+    # large z: total minus the tail int_z^inf (1 - cos t) t^{-1-Y} dt, by
+    # Filon panels up to T = 1e8 z and, beyond, by parts T^{-Y}/Y + sin(T)
+    # T^{-1-Y}, which leaves O(T^{-2-Y})
+    top = 1e8 * z
+    a, b = _geometric(_panels(z, top))
+    val, _ = _adapt(_rule(lambda t: t ** (-1.0 - Y), 1.0, "cos"), a, b, np.full(len(a), 2),
+                    _QUAD_KW["limit"], _QUAD_KW["epsabs"])
+    return _head_total(Y) - (val.sum() + top ** (-Y) / Y + math.sin(top) * top ** (-1.0 - Y))
+
+
+# --------------------------------------------------------------------------
+# array quadrature rules
+# --------------------------------------------------------------------------
+
+# QUADPACK's 21-point Gauss-Kronrod pair on [-1, 1]: the nodes ascending, the
+# Kronrod weights, and the 10-point Gauss weights at every other node
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077600525165586, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_GK_T = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
+_GK_W = np.array(_WK[:-1] + _WK[::-1])
+_GK_WG = np.zeros(21)
+_GK_WG[1:10:2], _GK_WG[11::2] = _WG, _WG[::-1]
+
+
+def _cheb_coef(n: int) -> np.ndarray:
+    """Chebyshev coefficients of the degree-n interpolant at cos(j pi/n), j = 0..n."""
+    j = np.arange(n + 1)
+    m = 2.0 / n * np.cos(np.pi * np.outer(j, j) / n)
+    m[:, [0, n]] *= 0.5
+    m[[0, n], :] *= 0.5
+    return m
+
+
+# Filon-Clenshaw-Curtis: 25 nodes cos(j pi/24); rows 0-24 give the degree-24
+# coefficients, rows 25-49 the degree-12 ones from every other node
+_CC_T = np.cos(np.pi * np.arange(25) / 24.0)
+_CC_COEF = np.zeros((50, 25))
+_CC_COEF[:25] = _cheb_coef(24)
+_CC_COEF[25:38, ::2] = _cheb_coef(12)
+_CC_MASS = np.array([2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0 for k in range(25)])
+_CC_W = _CC_MASS @ _CC_COEF[:25]          # Clenshaw-Curtis weights, for the roundoff floor
+_MOM_T, _MOM_W = np.polynomial.legendre.leggauss(64)
+_MOM_CHEB = np.polynomial.chebyshev.chebvander(_MOM_T, 24).T
+_MOM_SERIES = 50.0        # |theta| from which the moments are summed by parts
+# T_k^(m)(1) = prod_{j<m} (k^2 - j^2)/(2j + 1) and T_k^(m)(-1) = (-1)^(k+m) T_k^(m)(1)
+_CHEB_D_HI = np.cumprod(np.hstack([np.ones((25, 1)), (np.arange(25.0)[:, None] ** 2
+                                                      - np.arange(24.0) ** 2)
+                                   / (2.0 * np.arange(24.0) + 1.0)]), axis=1)
+_CHEB_D_LO = _CHEB_D_HI * (-1.0) ** np.add.outer(np.arange(25), np.arange(25))
+
+_GRADE = 4.0              # ratio of the graded panels toward a singular end
+_S_MIN = 1e-10            # lowest graded edge of x = s^10: x stays above 1e-100
+_ROUND_CAP = 2048         # panels bisected per round at most (bounds the node arrays)
+_EPS = np.finfo(float).eps
+
+
+def _panel_nodes(a, b, t):
+    """Nodes (rows: panels [a_i, b_i]) of the rule with nodes t on [-1, 1], and half-widths."""
+    h = 0.5 * (b - a)
+    return h[:, None] * t + (0.5 * (b + a))[:, None], h
+
+
+def _cheb_moments(theta):
+    """int_{-1}^{1} T_k(t) e^{i theta t} dt, k = 0..24, one row per theta.
+
+    Gauss-Legendre with 64 nodes below |theta| = 50 (the integrand is entire);
+    above, the integration by parts sum_m (-1)^m [T_k^(m) e^{i theta t}]_{-1}^{1}
+    / (i theta)^{m+1}, which ends at m = k and whose terms stay within a
+    factor 200 of the moment there.
+    """
+    out = np.empty((len(theta), 25), dtype=complex)
+    small = np.abs(theta) < _MOM_SERIES
+    if small.any():
+        out[small] = (_MOM_W * np.exp(1j * np.outer(theta[small], _MOM_T))) @ _MOM_CHEB.T
+    if not small.all():
+        th = theta[~small]
+        z = -np.cumprod(np.broadcast_to(-1.0 / (1j * th[:, None]), (len(th), 25)), axis=1)
+        out[~small] = (np.exp(1j * th)[:, None] * (z @ _CHEB_D_HI.T)
+                       - np.exp(-1j * th)[:, None] * (z @ _CHEB_D_LO.T))
+    return out
+
+
+def _rule(w, u: float = 0.0, kernel: str = "", head=None, xmap=None):
+    """The panel rules of int k(u x) w(x) dx as rule(a, b, kind) -> (value, error, floor).
+
+    kind 0 is Gauss-Kronrod 21 in x; kind 1 Gauss-Kronrod 21 in v, with
+    (x, dx/dv) = xmap(v); kind 2 Filon-Clenshaw-Curtis in x, for the
+    oscillatory kernels.  k is 1 - cos ("cos", as 2 sin(ux/2)^2 in the
+    Gauss-Kronrod panels), sin ("sin"), x ("x") or 1 ("").  With head =
+    (C, Y, eps), w - C |x|^{-1-Y} is integrated on the panels below eps.
+    The error is QUADPACK's: |K - G| scaled as in qk21 for Gauss-Kronrod,
+    the distance of the degree-24 and degree-12 Filon results otherwise,
+    both raised to a roundoff floor of 50 ulp of int |integrand|.  w is
+    called once per call of the rule.
+    """
+    def rule(a, b, kind):
+        gk = kind < 2
+        xg, hg = _panel_nodes(a[gk], b[gk], _GK_T)
+        jac = np.ones_like(xg)
+        mapped = kind[gk] == 1
+        if mapped.any():
+            xg[mapped], jac[mapped] = xmap(xg[mapped])
+        xf, hf = _panel_nodes(a[~gk], b[~gk], _CC_T)
+        x = np.concatenate([xg.ravel(), xf.ravel()])
+        vals = np.asarray(w(x), dtype=float)
+        if head is not None:
+            # by panel: a Clenshaw-Curtis node can sit on eps itself
+            C, Y, eps = head
+            mid = 0.5 * (a + b)
+            mid[kind == 1] = xmap(mid[kind == 1])[0]
+            inner = np.concatenate([np.repeat(mid[gk] < eps, len(_GK_T)),
+                                    np.repeat(mid[~gk] < eps, len(_CC_T))])
+            vals = vals.copy()
+            vals[inner] -= C / x[inner] ** (1.0 + Y)
+        val, err, floor = (np.empty(len(a)) for _ in range(3))
+        val[gk], err[gk], floor[gk] = _gk21(_kernel(kernel, u, xg) * jac
+                                            * vals[:xg.size].reshape(xg.shape), hg)
+        if xf.size:
+            val[~gk], err[~gk], floor[~gk] = _filon(vals[xg.size:].reshape(xf.shape), hf,
+                                                    0.5 * (a[~gk] + b[~gk]), u, kernel)
+        return val, err, floor
+    return rule
+
+
+def _kernel(kernel: str, u: float, x):
+    """The factor k(u x) of `_rule`'s integrand at the nodes x."""
+    if kernel == "cos":
+        return 2.0 * np.sin(0.5 * u * x) ** 2
+    if kernel == "sin":
+        return np.sin(u * x)
+    return x if kernel == "x" else 1.0
+
+
+def _gk21(f, h):
+    """(value, error, roundoff floor) of the Gauss-Kronrod pair, QUADPACK's qk21 estimate."""
+    k, g = f @ _GK_W, f @ _GK_WG
+    resasc = np.abs(h) * (np.abs(f - 0.5 * k[:, None]) @ _GK_W)
+    resabs = np.abs(h) * (np.abs(f) @ _GK_W)
+    diff = np.abs(h * (k - g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+    err = np.where((resasc > 0.0) & (diff > 0.0), scaled, diff)
+    floor = 50.0 * _EPS * resabs
+    return h * k, np.maximum(err, floor), floor
+
+
+def _filon(f, h, c, u: float, kernel: str):
+    """(value, error, roundoff floor) of Filon-Clenshaw-Curtis on panels of
+    half-width h and centre c for the kernel sin or 1 - cos of u x; f holds
+    w at the 25 nodes of each panel."""
+    coef = (f @ _CC_COEF.T).reshape(len(f), 2, 25)
+    osc = h[:, None] * np.exp(1j * u * c)[:, None] * np.einsum(
+        "pik,pk->pi", coef, _cheb_moments(u * h))
+    if kernel == "sin":
+        val = osc.imag
+    else:
+        val = h[:, None] * (coef @ _CC_MASS) - osc.real
+    floor = 100.0 * _EPS * np.abs(h) * (np.abs(f) @ np.abs(_CC_W))
+    return val[:, 0], np.maximum(np.abs(val[:, 0] - val[:, 1]), floor), floor
+
+
+def _adapt(rule, a, b, kind, limit: int, epsabs: float, epsrel: float = 0.0):
+    """Globally adaptive quadrature over the panels [a_i, b_i] of the given kinds.
+
+    Every round evaluates the new panels in one call of `rule` and bisects
+    the panels whose error exceeds tol/(2n), n panels, the worst _ROUND_CAP
+    at most, until the summed error is within tol = max(epsabs, epsrel
+    |value|), a non-finite value shows, no panel can shrink, or `limit`
+    bisections are spent.  A panel at its roundoff floor or an ulp wide is
+    final.  Returns the value and error summed per starting panel.
+    """
+    a, b, kind = (np.asarray(v) for v in (a, b, kind))
+    n0 = len(a)
+    origin = np.arange(n0)
+    val, err, floor = rule(a, b, kind)
+    spent = 0
+    while True:
+        total = err.sum()
+        tol = max(epsabs, epsrel * abs(val.sum()))
+        if not (np.isfinite(total) and np.isfinite(val.sum())) or total <= tol:
+            break
+        split = ((err > tol / (2.0 * len(err))) & (err > floor)
+                 & (b - a > 8.0 * _EPS * np.maximum(np.abs(a), np.abs(b))))
+        idx = np.flatnonzero(split)
+        if not len(idx) or spent >= limit:
+            break
+        if len(idx) > _ROUND_CAP:
+            idx = idx[np.argsort(err[idx])[-_ROUND_CAP:]]
+        mid = 0.5 * (a[idx] + b[idx])
+        na, nb = np.concatenate([a[idx], mid]), np.concatenate([mid, b[idx]])
+        nk, no = np.tile(kind[idx], 2), np.tile(origin[idx], 2)
+        nv, ne, nf = rule(na, nb, nk)
+        keep = np.ones(len(a), dtype=bool)
+        keep[idx] = False
+        a, b, kind, origin = (np.concatenate([v[keep], nv_])
+                              for v, nv_ in ((a, na), (b, nb), (kind, nk), (origin, no)))
+        val, err, floor = (np.concatenate([v[keep], nv_])
+                           for v, nv_ in ((val, nv), (err, ne), (floor, nf)))
+        spent += len(idx)
+    return (np.bincount(origin, weights=val, minlength=n0),
+            np.bincount(origin, weights=err, minlength=n0))
+
+
+def _graded(hi: float, lo: float):
+    """Edges hi, hi/_GRADE, ... down to the first at or below lo, ascending."""
+    n = max(int(math.ceil(math.log(hi / lo) / math.log(_GRADE))), 3)
+    return hi * _GRADE ** -np.arange(n, -1, -1.0)
+
+
+def _below_graded(parts):
+    """(value, error) of the integral below the lowest graded panel.
+
+    parts holds the integrals over the three lowest panels, lowest first.
+    An integrand ~ v^p near 0 (p > -1) gives panel integrals in the ratio
+    rho = _GRADE^-(p+1) and the geometric remainder I_1 rho/(1 - rho); the
+    error is its distance from the remainder that the next pair predicts.
+    """
+    i1, i2, i3 = parts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, rho2 = i1 / i2, i2 / i3
+    if not 0.0 < rho < 1.0:
+        return 0.0, abs(i1) + abs(i2)
+    rem = i1 * rho / (1.0 - rho)
+    alt = i1 * rho2 / (1.0 - rho2) if 0.0 < rho2 < 1.0 else 0.0
+    return rem, abs(rem - alt)
+
+
+def _s10(s):
+    """x = s^10 and dx/ds: |x|^{-q}, q < 1, becomes s^{9-10q}, bounded for q <= 0.9."""
+    return s**10, 10.0 * s**9
+
+
+def _geometric(panels, per_decade: int = 3):
+    """(a, b) arrays: each panel split into per_decade geometric pieces per decade."""
+    a, b = [], []
+    for lo, hi in panels:
+        n = max(1, math.ceil(per_decade * math.log10(hi / lo) - 1e-9))
+        step = (hi / lo) ** (1.0 / n)
+        edges = [lo * step**j for j in range(n)] + [hi]
+        a += edges[:-1]
+        b += edges[1:]
+    return np.array(a), np.array(b)
 
 
 # --------------------------------------------------------------------------
@@ -468,109 +704,40 @@ def _panels(lo: float, hi: float, width: float = np.inf, anchor: float | None = 
         a = b
 
 
-def _panel_sum(fn, panels, kw: dict, density: LevyDensity | None = None,
-               tag: str = ""):
-    """Sum of quad(fn, a, b, **kw) over the panels, and of the |errors|.
+def _inner_panels(hi: float, knots: tuple):
+    """Graded panels in s of x = s^10 on [0, hi], split at the knots: (a, b).
 
-    With a `density`, each panel's result is stored on it under (tag, a, b)
-    and reused; callers do so only for u-independent masses at _QUAD_KW.
+    The three lowest panels come first: `_below_graded` adds what lies below.
     """
-    cache = {} if density is None else density._cache
-    total, err = 0.0, 0.0
-    for a, b in panels:
-        if (tag, a, b) not in cache:
-            cache[tag, a, b] = quad(fn, a, b, **kw)
-        val, e = cache[tag, a, b]
-        total += val
-        err += abs(e)
-    return total, err
+    edges = _graded(hi ** 0.1, _S_MIN)
+    inner = np.array([k ** 0.1 for k in _knots_in(knots, 0.0, hi)])
+    edges = np.union1d(edges, inner[inner > edges[0]])
+    return edges[:-1], edges[1:]
 
 
-def _osc_tail(w, lo: float, hi: float, u: float, trig: str, limit: int,
-              skip_tol: float, anchor: float, knots: tuple):
-    """int_lo^hi trig(u x) w(x) dx by QAWO on the panels of the ladder
-    anchor*10^k, split at the knots.
+def _integrate(density: LevyDensity, w, u: float, kernel: str, eps: float, limit: int,
+               epsabs: float, epsrel: float = 0.0, head=None):
+    """(int_0^r_eff k(ux) w(x) dx, its error) for the kernels of `_rule`.
 
-    Once the integration-by-parts envelope 2|w(a)|/|u| of the remaining tail
-    drops below skip_tol the tail is dropped and counted as error instead.
+    Below b = min(30/|u|, r_eff) the full integrand goes through
+    Gauss-Kronrod: from 0 to min(b, eps) in s of x = s^10 on graded panels,
+    with the geometric remainder below them; from eps to b on decade panels.
+    Beyond b the kernel goes into the Filon-Clenshaw-Curtis moments, on
+    decade panels from b.  Every panel splits at eps and at the knots, each
+    decade into three geometric pieces; one adaptive run takes them all.
+    The kernels "" and "x" take u = 0: all of [eps, r_eff] is Gauss-Kronrod.
     """
-    total, err = 0.0, 0.0
-    for a, b in _panels(lo, hi, anchor=anchor, knots=knots):
-        env = 2.0 * abs(float(np.asarray(w(np.array([a])))[0])) / abs(u)
-        if env < skip_tol:
-            err += env
-            break
-        val, e = quad(w, a, b, weight=trig, wvar=u, epsabs=1e-13, limit=limit)
-        total += val
-        err += abs(e)
-    return total, err
-
-
-def _inner_singular_quad(w, hi: float, kw: dict, knots: tuple = ()):
-    """int_0^hi w(x) dx for w with an integrable power singularity at 0.
-
-    The substitution x = s^10 turns |x|^{-q}, q < 1, into s^{10(1-q)-1},
-    bounded for q <= 0.9, so QUADPACK's error estimates become trustworthy
-    (plain QAGS both under- and over-reports on such endpoint blow-ups).
-    The lower limit stays above the region where x^{-(1+q)} overflows the
-    double range; the excluded sliver [0, 1e-100] integrates to O(1e-20).
-    The knots, mapped to s, are breakpoints of the one call.
-    """
-    p = 10.0
-    s_lo = 1e-10  # x = s^p = 1e-100
-    s_hi = hi ** (1.0 / p)
-    if s_hi <= s_lo:
-        return 0.0, 0.0
-
-    def trans(s):
-        x = s**p
-        return w(x) * p * s ** (p - 1.0)
-
-    pts = _knots_in(tuple(k ** (1.0 / p) for k in knots), s_lo, s_hi)
-    return quad(trans, s_lo, s_hi, **_with_breaks(kw, pts))
-
-
-def _region(density: LevyDensity, w, lo: float, hi: float, u: float, kw: dict,
-            skip_tol: float, anchor: float, kernel: str, tag: str):
-    """int_lo^hi k(u x) w(x) dx, 0 <= lo < hi, for k(t) = 1 - cos t ("cos") or sin t.
-
-    Below the oscillation cutoff b = 30/|u| the full integrand goes through
-    adaptive quadrature (no cancellation: everything is evaluated together),
-    from 0 through `_inner_singular_quad`, elsewhere on phase-capped panels;
-    1 - cos(u x) is taken as 2 sin(u x/2)^2, which keeps its digits for small
-    u x where w is as singular as x^-2.  Beyond b QAWO takes the kernel.  For
-    the cosine, b is snapped up to the ladder anchor*10^k and the
-    u-independent mass int w beyond it, cached per panel under `tag`, is
-    taken minus the QAWO-cos part.
-    """
-    au = abs(u)
-    b = min(hi, 30.0 / au)
-    # QUADPACK passes floats: math.sin is the cheap scalar sine
-    if kernel == "cos":
-        half = 0.5 * u
-        integrand = lambda x: 2.0 * math.sin(half * x) ** 2 * w(x)
-        snap = min(hi, anchor * 10.0 ** np.ceil(np.log10(b / anchor) - 1e-12))
-    else:
-        integrand = lambda x: math.sin(u * x) * w(x)
-        snap = b
-    total, err, a = 0.0, 0.0, lo
-    if lo == 0.0:
-        total, err = _inner_singular_quad(integrand, b, kw, density.knots)
-        a = b
-    if a < snap:
-        val, e = _panel_sum(integrand, _panels(a, snap, _PHASE_CAP / au, knots=density.knots), kw)
-        total += val
-        err += e
-        a = snap
-    if a < hi:
-        osc, e = _osc_tail(w, a, hi, u, kernel, kw["limit"], skip_tol, anchor, density.knots)
-        if kernel == "cos":
-            mass, e_mass = _panel_sum(w, _panels(a, hi, anchor=anchor, knots=density.knots),
-                                      _QUAD_KW, density, tag)
-            osc, e = mass - osc, e + e_mass
-        total += osc
-        err += e
-    return total, err
+    r, au = density.r_eff, abs(u)
+    b = min(r, 30.0 / au) if au > 0.0 else r
+    knots = tuple(sorted({*density.knots, eps}))
+    ia, ib = _inner_panels(min(b, eps), density.knots)
+    ga, gb = _geometric(_panels(eps, b, knots=knots)) if b > eps else (np.empty(0), np.empty(0))
+    fa, fb = _geometric(_panels(b, r, knots=knots)) if b < r else (np.empty(0), np.empty(0))
+    kind = np.repeat([1, 0, 2], [len(ia), len(ga), len(fa)])
+    val, err = _adapt(_rule(w, u, kernel, head, _s10), np.concatenate([ia, ga, fa]),
+                      np.concatenate([ib, gb, fb]), kind, limit, epsabs, epsrel)
+    rem, e_rem = _below_graded(val[:3])
+    return val.sum() + rem, err.sum() + e_rem
 
 
 def _first_moment_as(density: LevyDensity, eps: float):
@@ -579,11 +746,10 @@ def _first_moment_as(density: LevyDensity, eps: float):
         return 0.0, 0.0
     key = ("m1", eps)
     if key not in density._cache:
-        moment = lambda x: x * density.f_as(x)
-        inner, e1 = _inner_singular_quad(moment, eps, _QUAD_KW, density.knots)
-        outer, e2 = _panel_sum(moment, _panels(eps, density.r_eff, knots=density.knots), _QUAD_KW)
+        val, err = _integrate(density, density.f_as, 0.0, "x", eps, _QUAD_KW["limit"],
+                              _QUAD_KW["epsabs"], _QUAD_KW["epsrel"])
         beyond, e3, _ = _beyond_r_eff(density, moment=True)
-        density._cache[key] = (2.0 * (inner + outer) + beyond, 2.0 * (abs(e1) + abs(e2)) + e3)
+        density._cache[key] = (2.0 * val + beyond, 2.0 * err + e3)
     return density._cache[key]
 
 
@@ -653,10 +819,10 @@ def _beyond_r_eff(density: LevyDensity, moment: bool):
     and w = f_s, or with `moment` p = f_as and w = x f_as; cached.
 
     Zeros unless the cutoff is infinite and r_eff stopped at its cap with
-    f_s(r) r^2 > 1e-20.  The substitution x = r/s maps the tail to (0, 1]:
-    QUADPACK's own map of [r, inf) misses such a slowly decaying tail.  For
-    a monotone |p|, 4 |p(r)|/|u| bounds the dropped 2 int_r^inf cos(ux) f_s
-    or 2 int_r^inf sin(ux) f_as.
+    f_s(r) r^2 > 1e-20.  The substitution x = r s^-10 maps the tail to
+    (0, 1], taken on graded panels plus their geometric remainder.  For a
+    monotone |p|, 4 |p(r)|/|u| bounds the dropped 2 int_r^inf cos(ux) f_s or
+    2 int_r^inf sin(ux) f_as.
     """
     key = ("beyond", moment)
     if key not in density._cache:
@@ -664,9 +830,14 @@ def _beyond_r_eff(density: LevyDensity, moment: bool):
         out = (0.0, 0.0, 0.0)
         if np.isinf(density.cutoff) and float(density.f_s(np.array([r]))[0]) * r * r > 1e-20:
             part = density.f_as if moment else density.f_s
-            w = (lambda x: x * part(x)) if moment else part
-            val, e = quad(lambda s: r * w(r / s) / (s * s), 0.0, 1.0, **_QUAD_KW)
-            out = (2.0 * val, 2.0 * abs(e), 4.0 * abs(float(part(np.array([r]))[0])))
+            rule = _rule(part, kernel="x" if moment else "",
+                         xmap=lambda s: (r / s**10, 10.0 * r / s**11))
+            edges = _graded(1.0, _S_MIN)
+            val, err = _adapt(rule, edges[:-1], edges[1:], np.ones(len(edges) - 1, dtype=int),
+                              _QUAD_KW["limit"], _QUAD_KW["epsabs"], _QUAD_KW["epsrel"])
+            rem, e_rem = _below_graded(val[:3])
+            out = (2.0 * (val.sum() + rem), 2.0 * (err.sum() + e_rem),
+                   4.0 * abs(float(part(np.array([r]))[0])))
         density._cache[key] = out
     return density._cache[key]
 
@@ -675,11 +846,11 @@ def symbol_parts_from_density(density: LevyDensity, u: float):
     """(A_fs(u), A_fas(u)) for truncation h(x) = x.
 
     A_fs(u) >= 0 real; A_fas(u) purely imaginary.  Combined absolute
-    tolerance 1e-9 (1 + u^2).  QUADPACK's error estimates are conservative
-    on strongly singular integrands, so when they exceed the budget the
-    result is validated against a run at EPS_INNER/2 with twice the
-    subinterval limit and the observed difference taken as the error;
-    QuadratureFailure only when that too misses the budget.
+    tolerance 1e-9 (1 + u^2).  The rules' error estimates are conservative
+    on strongly singular or noisy integrands, so when they exceed the budget
+    the result is validated against a run at EPS_INNER/2 with half the
+    tolerance and twice the bisections and the observed difference taken as
+    the error; QuadratureFailure only when that too misses the budget.
     """
     u = float(u)
     if u == 0.0:
@@ -702,39 +873,24 @@ def symbol_parts_from_density(density: LevyDensity, u: float):
 
 def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
     au = abs(u)
-    budget = 1e-9 * (1.0 + u * u)
-    kw = dict(_QUAD_KW)
-    kw["limit"] = _QUAD_KW["limit"] * refine
-    # QAGS may stop at either tolerance; the absolute one tracks the spec'd
-    # budget so smooth-but-kinky densities are not over-resolved
-    kw["epsabs"] = max(_QUAD_KW["epsabs"], budget / (64.0 * refine))
+    # each part's integral to 1/64 of the budget; refine tightens it and
+    # allows more bisections
+    tol = 1e-9 * (1.0 + u * u) / (64.0 * refine)
+    limit = _QUAD_KW["limit"] * refine
     err_acc = 0.0
 
     Y, C = density.y_hint, density.c_hint
     use_head = C > 0.0 and Y > 0.0
-
-    # drop oscillatory tails only once they are irrelevant both absolutely
-    # and relative to the budget (the envelope decays fast, so this costs
-    # at most a few extra segments)
-    skip_tol = max(1e-13, 1e-5 * budget)
     if use_head and density.pure_head:
         # f_s = C/|x|^{1+Y} exactly: the substitution integral covers the line
         a_fs = 2.0 * C * au**Y * _head_total(Y)
     else:
-        if use_head:
-            head = 2.0 * C * au**Y * _head_partial(eps * au, Y)
-
-            def g(x):
-                return density.f_s(x) - C / np.abs(x) ** (1.0 + Y)
-        else:
-            head = 0.0
-            g = density.f_s
-        rem, e1 = _region(density, g, 0.0, eps, u, kw, skip_tol, eps, "cos", "g")
-        outer, e2 = _region(density, density.f_s, eps, density.r_eff, u, kw, skip_tol,
-                            eps, "cos", "fs")
+        head = 2.0 * C * au**Y * _head_partial(eps * au, Y) if use_head else 0.0
+        rest, e1 = _integrate(density, density.f_s, u, "cos", eps, limit, tol,
+                              head=(C, Y, eps) if use_head else None)
         beyond, e3, env = _beyond_r_eff(density, moment=False)
-        err_acc += e1 + e2 + e3 + env / au
-        a_fs = head + 2.0 * (rem + outer) + beyond
+        err_acc += 2.0 * e1 + e3 + env / au
+        a_fs = head + 2.0 * rest + beyond
 
     # ---- antisymmetric part
     if not _has_as(density):
@@ -743,11 +899,9 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
         _check_as_integrable(density)
         m1, e_m1 = _first_moment_as(density, eps)
         err_acc += abs(e_m1) + _beyond_r_eff(density, moment=True)[2] / au
-        s_in, e1 = _region(density, density.f_as, 0.0, eps, u, kw, skip_tol, eps, "sin", "")
-        s_out, e2 = _region(density, density.f_as, eps, density.r_eff, u, kw, skip_tol,
-                            eps, "sin", "")
-        err_acc += e1 + e2
-        a_fas = 1j * (2.0 * (s_in + s_out) - u * m1)
+        s, e2 = _integrate(density, density.f_as, u, "sin", eps, limit, tol)
+        err_acc += 2.0 * e2
+        a_fas = 1j * (2.0 * s - u * m1)
 
     return a_fs, a_fas, err_acc
 
@@ -786,14 +940,14 @@ def _gauss_legendre(panels, bins, knots: tuple):
     each panel [a, b], split at the knots inside it so that every piece sees
     a smooth integrand; the pieces of panels[i] go to bin bins[i]."""
     t, wt = np.polynomial.legendre.leggauss(16)
-    xs, ws, idx = [], [], []
+    a, b, idx = [], [], []
     for (lo, hi), k in zip(panels, bins):
         edges = (lo, *_knots_in(knots, lo, hi), hi)
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs.append(0.5 * (b - a) * t + 0.5 * (b + a))
-            ws.append(0.5 * (b - a) * wt)
-            idx.append(np.full(len(t), k))
-    return np.concatenate(xs), np.concatenate(ws), np.concatenate(idx)
+        a.extend(edges[:-1])
+        b.extend(edges[1:])
+        idx.extend([k] * (len(edges) - 1))
+    x, h = _panel_nodes(np.array(a), np.array(b), t)
+    return x.ravel(), (h[:, None] * wt).ravel(), np.repeat(idx, len(t))
 
 
 def _dyadic_samples(density: LevyDensity):

@@ -65,8 +65,8 @@ def test_family_density_matches_closed_form(case):
 # rounding noise that the sine integral on [0, EPS_INNER] cannot resolve
 # (ROADMAP item 12)
 F_ONLY_NOISE = "f-only skewed density near Y >= 1.5: differenced f_as noise (ROADMAP item 12)"
-F_ONLY_XFAIL = {"cgmy(C=3.01,G=1.89,M=0.681,Y=1.476)", "cgmy(C=8.26,G=7.72,M=3.31,Y=1.648)",
-                "cgmy(C=2.92,G=3.63,M=0.84,Y=1.696)", "cgmy(C=1.62,G=11.1,M=11,Y=1.940)"}
+F_ONLY_XFAIL = {"cgmy(C=8.26,G=7.72,M=3.31,Y=1.648)", "cgmy(C=2.92,G=3.63,M=0.84,Y=1.696)",
+                "cgmy(C=1.62,G=11.1,M=11,Y=1.940)"}
 
 
 @pytest.mark.parametrize("case", [

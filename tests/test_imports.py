@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 HEAVY = ("scipy.integrate", "scipy.special")
@@ -69,3 +70,20 @@ def test_nig_index_loads_special_only(tmp_path):
     # the NIG density needs kve; its jump indices make no QUADPACK call
     cfg = {"process.family": "nig", "process.alpha": 10.0, "process.beta": 2.0}
     assert run_task(tmp_path, "index", cfg) == ["scipy.special"]
+
+
+@pytest.mark.parametrize("family", ["gh", "tabulated"])
+def test_density_route_symbol_eval_loads_neither(tmp_path, family):
+    # below eps |u| = 4 (the default u_max is 100) the quadrature symbol runs
+    # on numpy rules alone; only I_Y's oscillatory tail would call QUADPACK
+    if family == "gh":
+        cfg = {"process.family": "gh", "process.C1": 0.5, "process.C2": 0.1,
+               "process.C3": 0.05, "process.damping": 1.0}
+    else:
+        xs = np.geomspace(1e-7, 20.0, 60)
+        xs = np.concatenate([-xs[::-1], xs])
+        table = tmp_path / "dens.csv"
+        np.savetxt(table, np.column_stack([xs, np.exp(-2 * np.abs(xs)) / np.abs(xs) ** 2.2]),
+                   delimiter=",")
+        cfg = {"process.family": "tabulated", "process.path": str(table)}
+    assert run_task(tmp_path, "symbol-eval", cfg) == []

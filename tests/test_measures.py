@@ -283,8 +283,7 @@ def test_cgmy_parts_match_closed_form_real():
     assert a_fs == pytest.approx(sym(10.0).real, rel=1e-6)
 
 
-@pytest.mark.parametrize("Y", [0.5, 1.0, 1.5, pytest.param(1.8, marks=pytest.mark.filterwarnings(
-    "ignore::scipy.integrate.IntegrationWarning"))])
+@pytest.mark.parametrize("Y", [0.5, 1.0, 1.5, 1.8])
 def test_closed_form_vs_quadrature_cgmy(Y):
     # full-symbol agreement on |u| <= 100 at 1e-6 relative; the closed form
     # is the natural-drift symbol A_fs + i S(u) below Y = 1 and the
@@ -324,25 +323,48 @@ def test_closed_form_vs_quadrature_cgmy_sub_eps_ladder(u):
     assert abs(a_fs + a_fas - closed) <= 1e-6 * abs(closed)
 
 
-@pytest.mark.parametrize("density, calls", [
-    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), 108),
-    (M.nig_density(10.0, 2.0, 1.0), 100),
-    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), 110),
+WORK_U = (0.5, 3.0, 30.0, 100.0, 1e4, 1e6, -100.0)
+
+
+def _counted(density):
+    """The density with counting parts, and its [array calls, points] per part."""
+    count = {"f_s": [0, 0], "f_as": [0, 0]}
+
+    def counting(name, part):
+        def f(x):
+            count[name][0] += 1
+            count[name][1] += np.size(x)
+            return part(x)
+        return f
+
+    d = dataclasses.replace(density, f_s_exact=counting("f_s", density.f_s),
+                            f_as_exact=counting("f_as", density.f_as))
+    count["f_s"][:] = count["f_as"][:] = [0, 0]   # the checks made at construction
+    return d, count
+
+
+@pytest.mark.parametrize("density, work", [
+    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), {"f_s": [11, 5957], "f_as": [12, 6877]}),
+    (M.nig_density(10.0, 2.0, 1.0), {"f_s": [7, 5389], "f_as": [9, 6359]}),
+    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), {"f_s": [8, 6006], "f_as": [11, 6995]}),
 ], ids=["cgmy", "nig", "gh"])
-def test_symbol_parts_quad_call_count(density, calls, monkeypatch):
-    # deterministic work gate: QUADPACK calls of a fresh split over a fixed
-    # u sequence, u-independent panel masses cached after the first u
-    count = [0]
+def test_symbol_parts_integrand_work(density, work):
+    # deterministic work gate: array calls of each part and the points they
+    # take, over a fixed u sequence on a fresh density (first moment and
+    # f_as probes included)
+    d, count = _counted(density)
+    for u in WORK_U:
+        M.symbol_parts_from_density(d, u)
+    assert count == work
 
-    def counting_quad(*args, **kwargs):
-        count[0] += 1
-        return quad(*args, **kwargs)
 
-    monkeypatch.setattr(M, "quad", counting_quad)
-    sp = M.split_symmetric(density)
-    for u in (0.5, 3.0, 30.0, 100.0, 1e4, 1e6, -100.0):
-        M.symbol_parts_from_density(sp, u)
-    assert count[0] == calls
+def test_symbol_parts_make_no_quad_call(monkeypatch):
+    # array rules only, on both sides of I_Y's series cut eps |u| = 4
+    monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad ran"))
+    for density in (M.cgmy_density(1.0, 2.0, 4.0, 1.5), M.nig_density(10.0, 2.0, 1.0),
+                    M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), _table()):
+        for u in (*WORK_U, 4.0 / M.EPS_INNER, -4.1 / M.EPS_INNER, 1e7):
+            M.symbol_parts_from_density(density, u)
 
 
 # Exact A_fs, by mpmath at 40 digits: of CGMY(1, 2, 4, 1.5) + NIG(10, 2, 1)
@@ -430,6 +452,19 @@ def test_hintless_cgmy_parts_match_closed_form(args):
         assert abs(a_fs + a_fas - sym(u)) <= 1e-3 * 1e-9 * (1.0 + u * u), u
 
 
+def test_headless_cgmy_integrates_to_the_origin():
+    # declared without a head, CGMY(1, 2, 4, 1.9) leaves the whole
+    # (1 - cos ux) f_s ~ x^-0.9 to the graded panels in s of x = s^10: their
+    # geometric remainder below x = 1e-100 carries about 1e-10 of the part
+    c = M.cgmy_density(1.0, 2.0, 4.0, 1.9)
+    d = M.LevyDensity(f=c.f, y_hint=0.0, c_hint=0.0, cutoff=c.cutoff, name="cgmy-headless",
+                      f_s_exact=c.f_s_exact, f_as_exact=c.f_as_exact)
+    sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.9))
+    for u in (1.0, 10.0, 100.0, 1e4):
+        a_fs, a_fas = M.symbol_parts_from_density(d, u)
+        assert abs(a_fs + a_fas - sym(u)) <= 0.01 * 1e-9 * (1.0 + u * u), u
+
+
 @pytest.mark.parametrize("G, M_", [(2.0, 4.0), (5.0, 5.5), (4.0, 2.0)])
 def test_skewed_cgmy_near_y_two_is_not_refused(G, M_):
     # x f_as ~ x^{-Y} (M - G) x is integrable for every Y < 2; the family
@@ -467,9 +502,9 @@ def test_density_route_metamorphic(make, make_ref, scale, flip):
 @pytest.mark.parametrize("density, params, drift, u", [
     (M.cgmy_density(1.0, 2.0, 4.0, 1.5), S.CGMYParams(1.0, 2.0, 4.0, 1.5), 0.0, 1e6),
     (M.cgmy_density(1.0, 2.0, 4.0, 1.5), S.CGMYParams(1.0, 2.0, 4.0, 1.5), 0.0, 3e6),
-    (M.nig_density(10.0, 2.0, 1.0), S.NIGParams(alpha=10.0, beta=2.0, delta=1.0),
-     2.0 / np.sqrt(96.0), 1e6),
-], ids=["cgmy-1e6", "cgmy-3e6", "nig-1e6"])
+    *((M.nig_density(10.0, 2.0, 1.0), S.NIGParams(alpha=10.0, beta=2.0, delta=1.0),
+       2.0 / np.sqrt(96.0), u) for u in (1e6, 3e6, 1e7)),
+], ids=["cgmy-1e6", "cgmy-3e6", "nig-1e6", "nig-3e6", "nig-1e7"])
 def test_parts_at_large_u(density, params, drift, u):
     # 30/|u| < EPS_INNER: sin(u x) oscillates inside [0, EPS_INNER]
     a_fs, a_fas = M.symbol_parts_from_density(density, u)
@@ -479,7 +514,8 @@ def test_parts_at_large_u(density, params, drift, u):
 
 def test_patched_quad_sees_every_later_call(monkeypatch):
     # M.quad imports scipy on each call and never rebinds the module name,
-    # so a wrapper set after the first call still sees every QUADPACK call
+    # so a wrapper set after the first call still sees every QUADPACK call;
+    # the density route and the jump indices make none
     import scipy.integrate
     first = M.quad
     first(lambda x: x, 0.0, 1.0)
@@ -498,10 +534,12 @@ def test_patched_quad_sees_every_later_call(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "quad", counting_scipy)
     monkeypatch.setattr(M, "quad", counting)
     d = M.nig_density(10.0, 2.0, 1.0)
-    for u in (0.5, 30.0, -100.0):
+    for u in (0.5, 30.0, -100.0, -1e5):
         M.symbol_parts_from_density(d, u)
     M.gamma_index(M.LevyDensity(f=d.f, cutoff=d.cutoff, name="no hints"))
-    assert seen[0] == made[0] > 0
+    assert seen[0] == made[0] == 0
+    M.quad(lambda x: x, 0.0, 1.0)
+    assert seen[0] == made[0] == 1
 
 
 def test_nonfinite_part_raises_quadrature_failure():
@@ -514,8 +552,7 @@ def test_nonfinite_part_raises_quadrature_failure():
     d = M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0,
                       cutoff=50.0, name="nan-tail", f_as_exact=f_as)
     sp = M.split_symmetric(d)
-    with pytest.raises(QuadratureFailure, match="non-finite"), \
-            pytest.warns(IntegrationWarning):
+    with pytest.raises(QuadratureFailure, match="non-finite"):
         M.symbol_parts_from_density(sp, 3.0)
 
 
@@ -537,18 +574,27 @@ def test_quadrature_refinement_stable():
         assert abs(a1 - a2) <= 1e-8 * abs(a1)
 
 
-def test_refined_call_validates_against_a_deeper_run():
-    # the table without its knots: the panels straddle its kinks, so the
-    # error estimate at u = 3 (2.8e-8) misses the 1e-8 budget and the call
-    # retries at eps/2, refine = 2; the eps/4, refine = 4 run shows the
-    # value is good
+def test_refined_call_validates_against_a_deeper_run(monkeypatch):
+    # an error estimate over the budget sends the call to a run at eps/2,
+    # refine = 2, and their difference is taken as the error; the estimate is
+    # inflated here (the table without its knots, whose panels straddle its
+    # kinks, no longer misses the budget), and the eps/4, refine = 4 run
+    # shows the value is good
     table = _table()
     sp = M.split_symmetric(M.LevyDensity(f=table.f, y_hint=table.y_hint,
                                          c_hint=table.c_hint, cutoff=table.cutoff,
                                          name="table-without-knots"))
-    with pytest.warns(IntegrationWarning):
-        a1, b1 = M.symbol_parts_from_density(sp, 3.0)
-        a2, b2, _ = M._symbol_parts_once(sp, 3.0, M.EPS_INNER / 4, 4)
+    once, runs = M._symbol_parts_once, []
+
+    def inflated(density, u, eps, refine):
+        runs.append((eps, refine))
+        a_fs, a_fas, err = once(density, u, eps, refine)
+        return a_fs, a_fas, 1.0 if refine == 1 else err
+
+    monkeypatch.setattr(M, "_symbol_parts_once", inflated)
+    a1, b1 = M.symbol_parts_from_density(sp, 3.0)
+    a2, b2, _ = once(sp, 3.0, M.EPS_INNER / 4, 4)
+    assert runs == [(M.EPS_INNER, 1), (M.EPS_INNER / 2, 2)]
     assert abs(a1 - a2) + abs(b1 - b2) <= 1e-8
 
 
