@@ -639,8 +639,8 @@ def _adapt(rule, a, b, kind, limit: int, epsabs: float, epsrel: float = 0.0):
 
 
 def _graded(hi: float, lo: float):
-    """Edges hi, hi/_GRADE, ... down to the first at or below lo, ascending."""
-    n = max(int(math.ceil(math.log(hi / lo) / math.log(_GRADE))), 3)
+    """Edges hi, hi/_GRADE, ... down to the last at or above lo, ascending (at least 4)."""
+    n = max(int(math.log(hi / lo) / math.log(_GRADE)), 3)
     return hi * _GRADE ** -np.arange(n, -1, -1.0)
 
 
