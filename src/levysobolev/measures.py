@@ -592,7 +592,7 @@ def _filon(f, h, c, u: float, kernel: str):
         val = osc.imag
     else:
         val = h[:, None] * (coef @ _CC_MASS) - osc.real
-    floor = 100.0 * _EPS * np.abs(h) * (np.abs(f) @ np.abs(_CC_W))
+    floor = 100.0 * _EPS * np.abs(h) * (np.abs(f) @ _CC_W)
     return val[:, 0], np.maximum(np.abs(val[:, 0] - val[:, 1]), floor), floor
 
 
