@@ -198,16 +198,9 @@ def _differenced(f, sign: float):
 def _off_origin(kernel, odd: bool = False):
     """The part x -> kernel(|x|), times sgn(x) when `odd`, and 0 at x = 0.
 
-    `kernel` is a formula valid for |x| > 0.  A float x gives a numpy scalar
-    with the bits the array branch gives for x as a 0-d array.
+    `kernel` is a formula valid for |x| > 0.  A float x is taken as a 0-d array.
     """
     def part(x):
-        if isinstance(x, float):
-            if not abs(x) > 0.0:
-                return 0.0
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                out = kernel(np.float64(abs(x)))
-            return -out if odd and x < 0.0 else out
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -316,8 +309,6 @@ def gh_expansion_density(C1: float, C2: float = 0.0, C3: float = 0.0,
 
     def clamped(near, far):
         def part(x):
-            if isinstance(x, float):
-                return near(x) if abs(x) < x_clamp else far(x)
             x = np.asarray(x, dtype=float)
             out, beyond = near(x), np.abs(x) >= x_clamp
             out[beyond] = far(x[beyond])
@@ -486,6 +477,7 @@ _CHEB_D_HI = np.cumprod(np.hstack([np.ones((25, 1)), (np.arange(25.0)[:, None] *
 _CHEB_D_LO = _CHEB_D_HI * (-1.0) ** np.add.outer(np.arange(25), np.arange(25))
 
 _GRADE = 4.0              # ratio of the graded panels toward a singular end
+_PER_DECADE = 3           # geometric starting panels per decade away from the origin
 _S_MIN = 1e-10            # lowest graded edge of x = s^10: x stays above 1e-100
 _ROUND_CAP = 2048         # panels bisected per round at most (bounds the node arrays)
 _EPS = np.finfo(float).eps
@@ -667,11 +659,11 @@ def _s10(s):
     return s**10, 10.0 * s**9
 
 
-def _geometric(panels, per_decade: int = 3):
-    """(a, b) arrays: each panel split into per_decade geometric pieces per decade."""
+def _geometric(panels):
+    """(a, b) arrays: each panel split into _PER_DECADE geometric pieces per decade."""
     a, b = [], []
     for lo, hi in panels:
-        n = max(1, math.ceil(per_decade * math.log10(hi / lo) - 1e-9))
+        n = max(1, math.ceil(_PER_DECADE * math.log10(hi / lo) - 1e-9))
         step = (hi / lo) ** (1.0 / n)
         edges = [lo * step**j for j in range(n)] + [hi]
         a += edges[:-1]
@@ -683,20 +675,12 @@ def _geometric(panels, per_decade: int = 3):
 # A_fs and A_fas by quadrature
 # --------------------------------------------------------------------------
 
-def _panels(lo: float, hi: float, width: float = np.inf, anchor: float | None = None,
-            knots: tuple = ()):
-    """Panels [a, b] covering [lo, hi] with b = min(hi, 10 a, a + width).
-
-    With an `anchor`, lo sits on the ladder anchor*10^k and the decade edge
-    10 a is taken as anchor*10^(k+1): repeated multiplication by 10 drifts
-    off that ladder by an ulp below the anchor and can leave a sliver panel.
-    Each panel is further split at the `knots` strictly inside it.
-    """
-    k = round(math.log10(lo / anchor)) if anchor else 0
+def _panels(lo: float, hi: float, knots: tuple = ()):
+    """Decade panels [a, b] covering [lo, hi] with b = min(hi, 10 a), each
+    further split at the `knots` strictly inside it."""
     a = lo
     while a < hi:
-        k += 1
-        b = min(hi, anchor * 10.0 ** k if anchor else a * 10.0, a + width)
+        b = min(hi, a * 10.0)
         for c in _knots_in(knots, a, b):
             yield a, c
             a = c

@@ -74,8 +74,8 @@ def test_nig_index_loads_special_only(tmp_path):
 
 @pytest.mark.parametrize("family", ["gh", "tabulated"])
 def test_density_route_symbol_eval_loads_neither(tmp_path, family):
-    # below eps |u| = 4 (the default u_max is 100) the quadrature symbol runs
-    # on numpy rules alone; only I_Y's oscillatory tail would call QUADPACK
+    # the quadrature symbol runs on numpy rules alone, I_Y's oscillatory
+    # tail (eps |u| > 4) included, so neither module is loaded
     if family == "gh":
         cfg = {"process.family": "gh", "process.C1": 0.5, "process.C2": 0.1,
                "process.C3": 0.05, "process.damping": 1.0}
