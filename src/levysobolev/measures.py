@@ -7,16 +7,11 @@ antisymmetric part f_as = f - f_s:
     A_fs(u)  = -int (cos(ux) - 1) f_s(x) dx            (real, >= 0)
     A_fas(u) = i int (sin(ux) - ux) f_as(x) dx         (purely imaginary)
 
-The integrands are singular at 0 like |x|^{-1-Y}.  Quadrature strategy, with
-eps = 1e-4 fixed:
-
-  * on [-eps, eps] the density's power-law head C/|x|^{1+Y} is integrated
-    semi-analytically through the substitution t = |u| x, which reduces it to
-    I_Y(z) = int_0^z (1 - cos t) / t^{1+Y} dt at z = eps |u| (series for small
-    z, closed-form total minus a Filon tail for large z), keeping the
-    achieved tolerance uniform in u;
-  * the remainder f_s - C/|x|^{1+Y} on [-eps, eps] and everything outside is
-    integrated by numpy array rules, 1 - cos(ux) taken as 2 sin(ux/2)^2.
+The integrands are singular at 0 like |x|^{-1-Y}.  The graded rule in s of
+x = s^10 below integrates them from the origin, singularity included, with
+1 - cos(ux) taken as 2 sin(ux/2)^2; only the pure power law C/|x|^{1+Y}
+takes its closed form 2 C |u|^Y int_0^inf (1 - cos t)/t^{1+Y} dt
+(`_head_total`).
 
 Each part is one globally adaptive run over [0, r_eff] (`_integrate`): every
 round evaluates f_s or f_as once, at the nodes of all new panels, and bisects
@@ -27,10 +22,10 @@ geometric remainder below them, elsewhere on geometric thirds of decade
 panels.  Beyond the cutoff a Filon-Clenshaw-Curtis rule interpolates w on 25
 Chebyshev points and takes sin(ux) or 1 - cos(ux) exactly through modified
 Chebyshev moments (Piessens and Branders), its error the distance to the
-13-point result.  Panels split at eps and at the density's `knots` (the
-nodes of a tabulated density, where it has a kink).  The u-independent
-first moment of f_as and the tails beyond r_eff use the same rules and are
-cached on the density.
+13-point result.  Panels split at eps = 1e-4, the edge of the graded rule,
+and at the density's `knots` (the nodes of a tabulated density, where it
+has a kink).  The u-independent first moment of f_as and the tails beyond
+r_eff use the same rules and are cached on the density.
 
 The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
 h(x) = x, over the large jumps; local exponents judge that precondition and
@@ -55,8 +50,7 @@ from .errors import DivergentIntegral, FitUnstable, Inconsistent, InvalidParams,
 from .fitting import linear_fit
 from .symbols import Symbol, _gamma, symbol_from_callable
 
-EPS_INNER = 1e-4          # fixed split radius between singular head and the rest
-_SERIES_CUT = 4.0         # switch point for I_Y between series and tail form
+EPS_INNER = 1e-4          # upper edge of the graded inner rule in x = s^10
 _QUAD_KW = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 _TREND_TOL = 0.05         # log-log slope tolerance of the Appendix bound verdicts
 
@@ -88,8 +82,10 @@ class LevyDensity:
 
     `y_hint`/`c_hint`, declared both or neither, are the head f_s(x) ~
     c_hint |x|^{-1-Y} near 0, Y in [0, 2); `_read_head` reads an undeclared
-    one, (0.0, 0.0) for none.  The paths have finite variation, and Appendix
-    bound (d) applies, when Y < 1.
+    one, (0.0, 0.0) for none.  The quadrature of the symbol parts does not
+    use it: the head gives `gamma_index` its part below 2^-34, marks the
+    pure power law (`pure_head`) whose A_fs has a closed form, and decides
+    Appendix bound (d), which applies (finite variation) when Y < 1.
     `cutoff` is the radius beyond which f is numerically negligible (may be
     inf when the tail is handled analytically by the weighted rules).
 
@@ -388,7 +384,7 @@ def split_symmetric(density: LevyDensity) -> LevyDensity:
 
 
 # --------------------------------------------------------------------------
-# singular head integrals
+# the power law's closed form
 # --------------------------------------------------------------------------
 
 def _head_total(Y: float) -> float:
@@ -396,32 +392,6 @@ def _head_total(Y: float) -> float:
     if abs(Y - 1.0) < 1e-12:
         return math.pi / 2.0
     return float(_gamma(2.0 - Y) / (Y * (1.0 - Y)) * math.cos(math.pi * Y / 2.0))
-
-
-def _head_partial(z: float, Y: float) -> float:
-    """I_Y(z) = int_0^z (1 - cos t)/t^{1+Y} dt for z >= 0."""
-    if z <= 0.0:
-        return 0.0
-    if z <= _SERIES_CUT:
-        total, sign = 0.0, 1.0
-        fact = 2.0  # (2k)! running
-        for k in range(1, 40):
-            p = 2 * k - Y
-            term = sign * z**p / (fact * p)
-            total += term
-            if abs(term) < 1e-17 * max(abs(total), 1e-300):
-                break
-            sign = -sign
-            fact *= (2 * k + 1) * (2 * k + 2)
-        return total
-    # large z: total minus the tail int_z^inf (1 - cos t) t^{-1-Y} dt, by
-    # Filon panels up to T = 1e8 z and, beyond, by parts T^{-Y}/Y + sin(T)
-    # T^{-1-Y}, which leaves O(T^{-2-Y})
-    top = 1e8 * z
-    a, b = _geometric(_panels(z, top))
-    val, _ = _adapt(_rule(lambda t: t ** (-1.0 - Y), 1.0, "cos"), a, b, np.full(len(a), 2),
-                    _QUAD_KW["limit"], _QUAD_KW["epsabs"])
-    return _head_total(Y) - (val.sum() + top ** (-Y) / Y + math.sin(top) * top ** (-1.0 - Y))
 
 
 # --------------------------------------------------------------------------
@@ -509,18 +479,17 @@ def _cheb_moments(theta):
     return out
 
 
-def _rule(w, u: float = 0.0, kernel: str = "", head=None, xmap=None):
+def _rule(w, u: float = 0.0, kernel: str = "", xmap=None):
     """The panel rules of int k(u x) w(x) dx as rule(a, b, kind) -> (value, error, floor).
 
     kind 0 is Gauss-Kronrod 21 in x; kind 1 Gauss-Kronrod 21 in v, with
     (x, dx/dv) = xmap(v); kind 2 Filon-Clenshaw-Curtis in x, for the
     oscillatory kernels.  k is 1 - cos ("cos", as 2 sin(ux/2)^2 in the
-    Gauss-Kronrod panels), sin ("sin"), x ("x") or 1 ("").  With head =
-    (C, Y, eps), w - C |x|^{-1-Y} is integrated on the panels below eps.
-    The error is QUADPACK's: |K - G| scaled as in qk21 for Gauss-Kronrod,
-    the distance of the degree-24 and degree-12 Filon results otherwise,
-    both raised to a roundoff floor of 50 ulp of int |integrand|.  w is
-    called once per call of the rule.
+    Gauss-Kronrod panels), sin ("sin"), x ("x") or 1 ("").  The error is
+    QUADPACK's: |K - G| scaled as in qk21 for Gauss-Kronrod, the distance of
+    the degree-24 and degree-12 Filon results otherwise, both raised to a
+    roundoff floor of 50 ulp of int |integrand|.  w is called once per call
+    of the rule.
     """
     def rule(a, b, kind):
         gk = kind < 2
@@ -532,15 +501,6 @@ def _rule(w, u: float = 0.0, kernel: str = "", head=None, xmap=None):
         xf, hf = _panel_nodes(a[~gk], b[~gk], _CC_T)
         x = np.concatenate([xg.ravel(), xf.ravel()])
         vals = np.asarray(w(x), dtype=float)
-        if head is not None:
-            # by panel: a Clenshaw-Curtis node can sit on eps itself
-            C, Y, eps = head
-            mid = 0.5 * (a + b)
-            mid[kind == 1] = xmap(mid[kind == 1])[0]
-            inner = np.concatenate([np.repeat(mid[gk] < eps, len(_GK_T)),
-                                    np.repeat(mid[~gk] < eps, len(_CC_T))])
-            vals = vals.copy()
-            vals[inner] -= C / x[inner] ** (1.0 + Y)
         val, err, floor = (np.empty(len(a)) for _ in range(3))
         val[gk], err[gk], floor[gk] = _gk21(_kernel(kernel, u, xg) * jac
                                             * vals[:xg.size].reshape(xg.shape), hg)
@@ -700,7 +660,7 @@ def _inner_panels(hi: float, knots: tuple):
 
 
 def _integrate(density: LevyDensity, w, u: float, kernel: str, eps: float, limit: int,
-               epsabs: float, epsrel: float = 0.0, head=None):
+               epsabs: float, epsrel: float = 0.0):
     """(int_0^r_eff k(ux) w(x) dx, its error) for the kernels of `_rule`.
 
     Below b = min(30/|u|, r_eff) the full integrand goes through
@@ -718,7 +678,7 @@ def _integrate(density: LevyDensity, w, u: float, kernel: str, eps: float, limit
     ga, gb = _geometric(_panels(eps, b, knots=knots)) if b > eps else (np.empty(0), np.empty(0))
     fa, fb = _geometric(_panels(b, r, knots=knots)) if b < r else (np.empty(0), np.empty(0))
     kind = np.repeat([1, 0, 2], [len(ia), len(ga), len(fa)])
-    val, err = _adapt(_rule(w, u, kernel, head, _s10), np.concatenate([ia, ga, fa]),
+    val, err = _adapt(_rule(w, u, kernel, _s10), np.concatenate([ia, ga, fa]),
                       np.concatenate([ib, gb, fb]), kind, limit, epsabs, epsrel)
     rem, e_rem = _below_graded(val[:3])
     return val.sum() + rem, err.sum() + e_rem
@@ -864,17 +824,14 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
     err_acc = 0.0
 
     Y, C = density.y_hint, density.c_hint
-    use_head = C > 0.0 and Y > 0.0
-    if use_head and density.pure_head:
-        # f_s = C/|x|^{1+Y} exactly: the substitution integral covers the line
+    if Y > 0.0 and density.pure_head:
+        # f_s = C/|x|^{1+Y} exactly: the substitution t = |u| x gives the closed form
         a_fs = 2.0 * C * au**Y * _head_total(Y)
     else:
-        head = 2.0 * C * au**Y * _head_partial(eps * au, Y) if use_head else 0.0
-        rest, e1 = _integrate(density, density.f_s, u, "cos", eps, limit, tol,
-                              head=(C, Y, eps) if use_head else None)
+        half, e1 = _integrate(density, density.f_s, u, "cos", eps, limit, tol)
         beyond, e3, env = _beyond_r_eff(density, moment=False)
         err_acc += 2.0 * e1 + e3 + env / au
-        a_fs = head + 2.0 * rest + beyond
+        a_fs = 2.0 * half + beyond
 
     # ---- antisymmetric part
     if not _has_as(density):

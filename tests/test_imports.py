@@ -74,8 +74,8 @@ def test_nig_index_loads_special_only(tmp_path):
 
 @pytest.mark.parametrize("family", ["gh", "tabulated"])
 def test_density_route_symbol_eval_loads_neither(tmp_path, family):
-    # the quadrature symbol runs on numpy rules alone, I_Y's oscillatory
-    # tail (eps |u| > 4) included, so neither module is loaded
+    # the quadrature symbol runs on numpy rules alone, Gauss-Kronrod and
+    # Filon panels, so neither module is loaded
     if family == "gh":
         cfg = {"process.family": "gh", "process.C1": 0.5, "process.C2": 0.1,
                "process.C3": 0.05, "process.damping": 1.0}
@@ -87,3 +87,12 @@ def test_density_route_symbol_eval_loads_neither(tmp_path, family):
                    delimiter=",")
         cfg = {"process.family": "tabulated", "process.path": str(table)}
     assert run_task(tmp_path, "symbol-eval", cfg) == []
+
+
+def test_smoothness_moments_load_no_integrate():
+    # the moments run on the array rules of measures; only the tail
+    # certificate's incomplete gamma needs scipy.special
+    code = ("from levysobolev import indices, symbols\n"
+            "sym = symbols.make_symbol(symbols.CGMYParams(1.0, 5.0, 5.0, 1.5))\n"
+            "assert len(indices.smoothness_moments(sym, 1.0, 2)) == 3")
+    assert "scipy.integrate" not in loaded_after(code)

@@ -312,8 +312,8 @@ def test_closed_form_vs_quadrature_cgmy_strong_skew(G, M_):
 
 @pytest.mark.parametrize("u", [5e6, -5e6, 2e7, -2e7])
 def test_closed_form_vs_quadrature_cgmy_sub_eps_ladder(u):
-    # 30/|u| < eps/10: the cached masses of the head remainder start below
-    # eps on the ladder eps*10^k, k < 0
+    # 30/|u| < eps/10: the graded rule ends below eps, and Filon panels
+    # cover the rest of [0, eps]
     sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.5))
     sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 1.5))
     a_fs, a_fas = M.symbol_parts_from_density(sp, u)
@@ -342,9 +342,9 @@ def _counted(density):
 
 
 @pytest.mark.parametrize("density, work", [
-    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), {"f_s": [11, 5810], "f_as": [12, 6709]}),
-    (M.nig_density(10.0, 2.0, 1.0), {"f_s": [7, 5242], "f_as": [9, 6191]}),
-    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), {"f_s": [8, 5859], "f_as": [11, 6827]}),
+    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), {"f_s": [12, 5852], "f_as": [12, 6709]}),
+    (M.nig_density(10.0, 2.0, 1.0), {"f_s": [10, 5368], "f_as": [9, 6191]}),
+    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), {"f_s": [11, 5985], "f_as": [11, 6827]}),
 ], ids=["cgmy", "nig", "gh"])
 def test_symbol_parts_integrand_work(density, work):
     # deterministic work gate: array calls of each part and the points they
@@ -357,7 +357,7 @@ def test_symbol_parts_integrand_work(density, work):
 
 
 def test_symbol_parts_make_no_quad_call(monkeypatch):
-    # array rules only, on both sides of I_Y's series cut eps |u| = 4
+    # array rules only, with the Filon cutoff 30/|u| above eps and, at u = 1e7, below it
     monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad ran"))
     for density in (M.cgmy_density(1.0, 2.0, 4.0, 1.5), M.nig_density(10.0, 2.0, 1.0),
                     M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), _table()):
@@ -442,8 +442,8 @@ def test_read_head_is_the_law_below_the_knots():
 @pytest.mark.parametrize("args", [(1.0, 2.0, 4.0, 1.9), (1.0, 5.0, 5.0, 1.9)],
                          ids=["skew", "symmetric"])
 def test_hintless_cgmy_parts_match_closed_form(args):
-    # the head read off f_s takes the x^{-1-Y} singularity analytically;
-    # without it the remainder x^{1-Y} lost its integral below 1e-100
+    # the head read off f_s is not used by the quadrature: the graded rule
+    # in x = s^10 takes the x^{-1-Y} singularity of f_s from the origin
     d, sym = _hintless_cgmy(*args), S.make_symbol(S.CGMYParams(*args))
     for u in (1.0, 10.0, 100.0, 1e4):
         a_fs, a_fas = M.symbol_parts_from_density(d, u)
@@ -469,6 +469,17 @@ def test_graded_panels_stay_where_the_head_is_finite():
     sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.985))
     a_fs, a_fas = M.symbol_parts_from_density(M.cgmy_density(1.0, 2.0, 4.0, 1.985), 1e10)
     assert abs(a_fs + a_fas - sym(1e10)) <= 1e-3 * 1e-9 * (1.0 + 1e20)
+
+
+@pytest.mark.parametrize("Y", [0.3, 1.0, 1.985])
+@pytest.mark.parametrize("u", [0.3, -30.0, 1e3, 1e6, -1e7, 1e8])
+def test_cgmy_parts_at_the_extremes_of_y_and_u(Y, u):
+    # the graded rule in x = s^10 takes the whole x^{-1-Y} singularity of
+    # f_s from the origin, at the mildest and the strongest head and from
+    # 30/|u| far above EPS_INNER to 3e-7 below it
+    sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, Y, zero_drift=True))
+    a_fs, a_fas = M.symbol_parts_from_density(M.cgmy_density(1.0, 2.0, 4.0, Y), u)
+    assert abs(a_fs + a_fas - sym(u)) <= 0.01 * 1e-9 * (1.0 + u * u)
 
 
 @pytest.mark.parametrize("G, M_", [(2.0, 4.0), (5.0, 5.5), (4.0, 2.0)])
