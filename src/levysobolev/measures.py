@@ -9,9 +9,7 @@ antisymmetric part f_as = f - f_s:
 
 The integrands are singular at 0 like |x|^{-1-Y}.  The graded rule in s of
 x = s^10 below integrates them from the origin, singularity included, with
-1 - cos(ux) taken as 2 sin(ux/2)^2; only the pure power law C/|x|^{1+Y}
-takes its closed form 2 C |u|^Y int_0^inf (1 - cos t)/t^{1+Y} dt
-(`_head_total`).
+1 - cos(ux) taken as 2 sin(ux/2)^2.
 
 Each part is one globally adaptive run over [0, r_eff] (`_integrate`): every
 round evaluates f_s or f_as once, at the nodes of all new panels, and bisects
@@ -48,7 +46,7 @@ import numpy as np
 from .errors import DivergentIntegral, FitUnstable, Inconsistent, InvalidParams, \
     QuadratureFailure
 from .fitting import linear_fit
-from .symbols import Symbol, _gamma, symbol_from_callable
+from .symbols import Symbol, symbol_from_callable
 
 EPS_INNER = 1e-4          # upper edge of the graded inner rule in x = s^10
 _QUAD_KW = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
@@ -80,12 +78,6 @@ def kve(v, z):
 class LevyDensity:
     """Lebesgue density of a one-dimensional Levy measure.
 
-    `y_hint`/`c_hint`, declared both or neither, are the head f_s(x) ~
-    c_hint |x|^{-1-Y} near 0, Y in [0, 2); `_read_head` reads an undeclared
-    one, (0.0, 0.0) for none.  The quadrature of the symbol parts does not
-    use it: the head gives `gamma_index` its part below 2^-34, marks the
-    pure power law (`pure_head`) whose A_fs has a closed form, and decides
-    Appendix bound (d), which applies (finite variation) when Y < 1.
     `cutoff` is the radius beyond which f is numerically negligible (may be
     inf when the tail is handled analytically by the weighted rules).
 
@@ -113,8 +105,6 @@ class LevyDensity:
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    y_hint: Optional[float] = None
-    c_hint: Optional[float] = None
     cutoff: float = np.inf
     name: str = "density"
     f_s_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -124,8 +114,6 @@ class LevyDensity:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if (self.y_hint is None) != (self.c_hint is None) or not 0.0 <= (self.y_hint or 0.0) < 2.0:
-            raise InvalidParams("the head needs both y_hint, in [0, 2), and c_hint, or neither")
         xs = np.geomspace(1e-8, min(self.cutoff, 1e3), 40)
         try:
             vals = np.concatenate([self.f(xs), self.f(-xs)])
@@ -144,9 +132,6 @@ class LevyDensity:
             raise InvalidParams("f_s failed the symmetry check")
         if np.any(np.abs(fa) > fs * (1.0 + 1e-12) + 1e-300):
             raise InvalidParams("antisymmetric part exceeds symmetric part")
-        if self.y_hint is None:
-            for name, val in zip(("y_hint", "c_hint"), _read_head(self)):
-                object.__setattr__(self, name, val)
 
     @cached_property
     def f_s(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -167,15 +152,6 @@ class LevyDensity:
         while r < 1e9 and self.f_s(np.array([r]))[0] * r * r > 1e-20:
             r *= 2.0
         return r
-
-    @cached_property
-    def pure_head(self) -> bool:
-        """True when f_s is exactly its power-law head on the whole line."""
-        if not self.c_hint or not np.isinf(self.cutoff):
-            return False
-        xs = np.geomspace(1e-8, 1e6, 30)
-        head = self.c_hint / xs ** (1.0 + self.y_hint)
-        return bool(np.all(np.abs(self.f_s(xs) - head) <= 1e-13 * head))
 
 
 def _knots_in(knots, a: float, b: float) -> tuple:
@@ -227,7 +203,7 @@ def cgmy_density(C: float, G: float, M: float, Y: float) -> LevyDensity:
     f_as = _off_origin(lambda ax: as_scale * np.exp(-lo_rate * ax) * np.expm1(-gap * ax)
                        / ax ** (1.0 + Y), odd=True)
 
-    return LevyDensity(f=f, y_hint=Y, c_hint=C, cutoff=740.0 / min(G, M),
+    return LevyDensity(f=f, cutoff=740.0 / min(G, M),
                        name=f"cgmy(C={C},G={G},M={M},Y={Y})",
                        f_s_exact=f_s, f_as_exact=f_as, levy_condition_proven=True)
 
@@ -260,24 +236,22 @@ def nig_density(alpha: float, beta: float = 0.0, delta: float = 1.0) -> LevyDens
     f_s = _off_origin(lambda ax: kernel(ax, False))
     f_as = _off_origin(lambda ax: kernel(ax, True), odd=True)
 
-    return LevyDensity(f=f, y_hint=1.0, c_hint=delta / np.pi,
-                       cutoff=740.0 / (alpha - abs(beta)),
+    return LevyDensity(f=f, cutoff=740.0 / (alpha - abs(beta)),
                        name=f"nig(alpha={alpha},beta={beta},delta={delta})",
                        f_s_exact=f_s, f_as_exact=f_as, levy_condition_proven=True)
 
 
 def power_law_density(coef: float, Y: float) -> LevyDensity:
-    """Pure head coef/|x|^{1+Y} on all of R (the Appendix test densities)."""
+    """The power law coef/|x|^{1+Y} on all of R (the Appendix test densities)."""
     if coef <= 0 or not 0.0 < Y < 2.0:
         raise InvalidParams("power law requires coef > 0 and Y in (0, 2)")
 
     def f(x):
         ax = np.abs(np.asarray(x, dtype=float))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return np.where(ax > 0, coef / ax ** (1.0 + Y), 0.0)
 
-    return LevyDensity(f=f, y_hint=Y, c_hint=coef,
-                       cutoff=np.inf, name=f"powerlaw(c={coef},Y={Y})",
+    return LevyDensity(f=f, cutoff=np.inf, name=f"powerlaw(c={coef},Y={Y})",
                        levy_condition_proven=True)
 
 
@@ -316,8 +290,7 @@ def gh_expansion_density(C1: float, C2: float = 0.0, C3: float = 0.0,
     f_as = clamped(_off_origin(lambda ax: C3 / ax * np.exp(-damping * ax), odd=True),
                    _differenced(f, -1.0))
 
-    return LevyDensity(f=f, y_hint=1.0, c_hint=C1,
-                       cutoff=740.0 / damping, name="gh_expansion",
+    return LevyDensity(f=f, cutoff=740.0 / damping, name="gh_expansion",
                        f_s_exact=f_s, f_as_exact=f_as)
 
 
@@ -325,8 +298,7 @@ def tabulated_density(x_points, f_values) -> LevyDensity:
     """Log-log interpolation of (x, f(x)) samples, one branch per sign of x.
 
     Beyond the table each branch continues as the power law of its edge
-    segment.  The nodes are the density's knots.  The head is the law f_s
-    follows below the smallest node, read as for any density without one.
+    segment.  The nodes are the density's knots.
     """
     x_points = np.asarray(x_points, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
@@ -381,17 +353,6 @@ def tabulated_density(x_points, f_values) -> LevyDensity:
 def split_symmetric(density: LevyDensity) -> LevyDensity:
     """The density itself: it carries its checked parts f_s and f_as."""
     return density
-
-
-# --------------------------------------------------------------------------
-# the power law's closed form
-# --------------------------------------------------------------------------
-
-def _head_total(Y: float) -> float:
-    # int_0^inf (1 - cos t)/t^{1+Y} dt, Y in (0,2); equals pi/2 at Y = 1
-    if abs(Y - 1.0) < 1e-12:
-        return math.pi / 2.0
-    return float(_gamma(2.0 - Y) / (Y * (1.0 - Y)) * math.cos(math.pi * Y / 2.0))
 
 
 # --------------------------------------------------------------------------
@@ -698,19 +659,9 @@ def _first_moment_as(density: LevyDensity, eps: float):
 
 
 def _near_zero(density: LevyDensity) -> np.ndarray:
-    """24 log points on the six decades below EPS_INNER and every knot (no table/head mix)."""
+    """24 log points on the six decades below EPS_INNER and every knot."""
     hi = min((EPS_INNER, *density.knots))
     return np.geomspace(1e-10 * (hi / EPS_INNER), hi, 24)
-
-
-def _read_head(density: LevyDensity) -> tuple:
-    """(Y, c) of the law c |x|^{-1-Y} through f_s at the two smallest
-    `_near_zero` points, Y capped at 1.999, or (0.0, 0.0) unless Y > 0 (a fit
-    over all 24 points would mix in a factor such as CGMY's e^{-G x})."""
-    xs = _near_zero(density)[:2]
-    f0, f1 = density.f_s(xs)
-    y = min(math.log(f1 / f0) / math.log(xs[0] / xs[1]) - 1.0, 1.999) if min(f0, f1) > 0 else 0.0
-    return (y, float(f0 * xs[0] ** (1.0 + y))) if y > 0.0 else (0.0, 0.0)
 
 
 def _divergent_end(density: LevyDensity, g):
@@ -821,17 +772,11 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
     # allows more bisections
     tol = 1e-9 * (1.0 + u * u) / (64.0 * refine)
     limit = _QUAD_KW["limit"] * refine
-    err_acc = 0.0
 
-    Y, C = density.y_hint, density.c_hint
-    if Y > 0.0 and density.pure_head:
-        # f_s = C/|x|^{1+Y} exactly: the substitution t = |u| x gives the closed form
-        a_fs = 2.0 * C * au**Y * _head_total(Y)
-    else:
-        half, e1 = _integrate(density, density.f_s, u, "cos", eps, limit, tol)
-        beyond, e3, env = _beyond_r_eff(density, moment=False)
-        err_acc += 2.0 * e1 + e3 + env / au
-        a_fs = 2.0 * half + beyond
+    half, e1 = _integrate(density, density.f_s, u, "cos", eps, limit, tol)
+    beyond, e3, env = _beyond_r_eff(density, moment=False)
+    err_acc = 2.0 * e1 + e3 + env / au
+    a_fs = 2.0 * half + beyond
 
     # ---- antisymmetric part
     if not _has_as(density):
@@ -876,30 +821,23 @@ def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
 # jump-activity indices
 # --------------------------------------------------------------------------
 
-def _gauss_legendre(panels, bins, knots: tuple):
-    """Nodes x, weights w and bin index of a 16-point Gauss-Legendre rule on
-    each panel [a, b], split at the knots inside it so that every piece sees
-    a smooth integrand; the pieces of panels[i] go to bin bins[i]."""
-    t, wt = np.polynomial.legendre.leggauss(16)
-    a, b, idx = [], [], []
-    for (lo, hi), k in zip(panels, bins):
-        edges = (lo, *_knots_in(knots, lo, hi), hi)
-        a.extend(edges[:-1])
-        b.extend(edges[1:])
-        idx.extend([k] * (len(edges) - 1))
-    x, h = _panel_nodes(np.array(a), np.array(b), t)
-    return x.ravel(), (h[:, None] * wt).ravel(), np.repeat(idx, len(t))
+def _pieces(edges, knots: tuple):
+    """(a, b, i): the intervals [edges[i], edges[i+1]], ascending, split at
+    the knots inside them so that every piece sees a smooth integrand."""
+    cut = np.union1d(edges, _knots_in(knots, edges[0], edges[-1]))
+    return cut[:-1], cut[1:], np.searchsorted(edges, cut[:-1], side="right") - 1
 
 
 def _dyadic_samples(density: LevyDensity):
-    """Nodes x, weights w and bin index of a Gauss-Legendre rule on [2^-34, 1].
+    """Nodes x, weights w and bin index of the 21-point Kronrod rule on [2^-34, 1].
 
-    The panels are the dyadic intervals [2^-(j+1), 2^-j], j = 0..33.  Bin 0
-    is [1/16, 1]; bin k = 1..30 is [2^-(k+4), 2^-(k+3)], the last one
-    reaching below 1e-10.
+    The panels are the dyadic intervals [2^-(j+1), 2^-j], j = 0..33, split at
+    the knots.  Bin 0 is [1/16, 1]; bin k = 1..30 is [2^-(k+4), 2^-(k+3)], the
+    last one reaching below 1e-10.
     """
-    return _gauss_legendre([(2.0 ** -(j + 1), 2.0 ** -j) for j in range(34)],
-                           [max(j - 3, 0) for j in range(34)], density.knots)
+    a, b, i = _pieces(2.0 ** np.arange(-34.0, 1.0), density.knots)
+    x, h = _panel_nodes(a, b, _GK_T)
+    return x.ravel(), (h[:, None] * _GK_W).ravel(), np.repeat(np.maximum(30 - i, 0), len(_GK_T))
 
 
 def _alpha_integral_diverges(samples, alpha: float) -> bool:
@@ -924,7 +862,7 @@ def bg_index(density: LevyDensity) -> float:
     (beta = -slope - 1, clamped at 0) and cross-checks against a bisection on
     the divergence of int |x|^alpha f dx; Inconsistent when the two disagree
     by more than 0.1.  Every bisection step integrates over the dyadic
-    intervals from the same Gauss-Legendre samples of f_s, taken once.
+    intervals from the same Kronrod samples of f_s, taken once.
     """
     xs = np.geomspace(1e-6, 1e-2, 64)
     ys = density.f_s(xs)
@@ -964,19 +902,21 @@ def bg_index(density: LevyDensity) -> float:
 def gamma_index(density: LevyDensity) -> float:
     """Lower small-jump index: 2 minus log-log slope of G(r) = int_{-r}^{r} x^2 f.
 
-    G is taken at 48 log-spaced r in [1e-6, 0.1]: Gauss-Legendre panels of x^2 f_s,
-    dyadic from r0 = 2^-34 up to 1e-6, then between consecutive r, plus the
-    head's 2 c_hint r0^{2-Y}/(2-Y) below r0.  No `quad` call is made.
+    G is taken at 48 log-spaced r in [1e-6, 0.1], in one adaptive run of the
+    symbol parts' rules over x^2 f_s: from the origin to 1e-6 on the graded
+    panels in s of x = s^10, with the geometric remainder below them, then
+    Gauss-Kronrod between consecutive r, split at the knots.
     """
     rs = np.geomspace(1e-6, 1e-1, 48)
-    Y, r0 = density.y_hint, 2.0 ** -34
-    # dyadic edges r0 .. 2^-20 < 1e-6, then the r: the panels below 1e-6 form bin 0
-    lo = 2.0 ** np.arange(-34.0, math.floor(math.log2(rs[0])) + 1.0)
-    edges = [*lo, *rs]
-    x, w, idx = _gauss_legendre(list(zip(edges[:-1], edges[1:])),
-                                [0] * len(lo) + list(range(1, len(rs))), density.knots)
-    incs = 2.0 * np.bincount(idx, weights=x * x * w * density.f_s(x))
-    incs[0] += 2.0 * density.c_hint * r0 ** (2.0 - Y) / (2.0 - Y)
+    ia, ib = _inner_panels(rs[0], density.knots)
+    ga, gb, i = _pieces(rs, density.knots)
+    bins = np.concatenate([np.zeros(len(ia), dtype=int), i + 1])
+    val, _ = _adapt(_rule(lambda x: x * x * density.f_s(x), xmap=_s10),
+                    np.concatenate([ia, ga]), np.concatenate([ib, gb]),
+                    np.repeat([1, 0], [len(ia), len(ga)]), _QUAD_KW["limit"], 0.0,
+                    _QUAD_KW["epsrel"])
+    incs = 2.0 * np.bincount(bins, weights=val)
+    incs[0] += 2.0 * _below_graded(val[:3])[0]
     vals = np.cumsum(incs)
     if vals[-1] <= 0:
         return 0.0
@@ -1037,8 +977,8 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid) -> BoundReport:
       a)  A_fs(u) <= C (1 + |u|^Y)
       b)  A_fs(u) >= C1 |u|^Y - C2 (1 + |u|^{Y/2}),  C1 > 0
       c)  |A_fas(u)| <= C (1 + |u|^{max(1,Y)})          (Y != 1 only)
-      d)  |Im A(u)| <= C (1 + |u|^Y) for the drift b = int x F(dx) of a head
-          with Y < 1 (finite variation), i.e. Im A(u) = int sin(ux) f_as(x) dx.
+      d)  |Im A(u)| <= C (1 + |u|^Y) for the drift b = int x F(dx) when
+          Y < 1 (finite variation), i.e. Im A(u) = int sin(ux) f_as(x) dx.
 
     Each constant is fitted as the extremal ratio over the grid; the verdict
     asks whether the bound is *asymptotically sustainable*: the fitted ratio
@@ -1084,7 +1024,7 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid) -> BoundReport:
         parts["c"] = _upper_bound(us, mag / (1.0 + us ** max(1.0, Y)))
 
     # d) finite-variation drift bound
-    if density.y_hint < 1.0:
+    if Y < 1.0:
         m1, _ = _first_moment_as(density, EPS_INNER)
         mag_d = np.abs(a_fas.imag + us * m1)  # = |int sin(ux) f_as dx|
         if np.all(mag_d < 1e-250):

@@ -8,8 +8,8 @@ truncation h is
 
 equivalently A(xi) = -theta(-i xi) for the cumulant theta, so that
 mu_hat_t(xi) = e^{-t A(-xi)} (see conventions.py).  Each family below
-implements A in closed form; the density-backed families (gh, powerlaw,
-tabulated) go through the quadrature route of measures.py.
+implements A in closed form; the density-backed families (gh, tabulated) go
+through the quadrature route of measures.py.
 
 Complex powers (M - iu)^Y, (G + iu)^Y in the CGMY exponent use the principal
 branch; both bases have strictly positive real part for G, M > 0, so no
@@ -347,6 +347,25 @@ def _cgmy_fn(C, G, M, Y, zero_drift: bool):
     return fn
 
 
+def _head_total(Y: float) -> float:
+    # int_0^inf (1 - cos t)/t^{1+Y} dt, Y in (0,2); equals pi/2 at Y = 1
+    if abs(Y - 1.0) < 1e-12:
+        return math.pi / 2.0
+    return float(_gamma(2.0 - Y) / (Y * (1.0 - Y)) * math.cos(math.pi * Y / 2.0))
+
+
+def _power_law_fn(coef, Y):
+    # A(u) = 2 coef |u|^Y _head_total(Y) for the density coef/|x|^{1+Y} and
+    # b = 0, by the substitution t = |u| x; Python float ** per point, which
+    # np.power does not match bit for bit
+    scale, total = 2.0 * coef, _head_total(Y)
+
+    def fn(pts):
+        return np.array([scale * abs(u) ** Y * total for u in pts[:, 0].tolist()],
+                        dtype=complex)
+    return fn
+
+
 def _stable1d_fn(alpha, c, beta, tau):
     def fn(pts):
         u = pts[:, 0]
@@ -382,8 +401,8 @@ def make_symbol(params) -> Symbol:
     Raises InvalidParams naming the violated constraint.  A closed-form
     symbol has been checked on a fixed 64-point sanity grid (hermitian
     symmetry, nonnegative real part, finiteness); a density-backed one
-    (gh, powerlaw, tabulated) is measures.density_symbol, unchecked.  The
-    Levy density of a CGMY or 1-d NIG symbol is built, and checked, on first
+    (gh, tabulated) is measures.density_symbol, unchecked.  The Levy density
+    of a CGMY, power-law or 1-d NIG symbol is built, and checked, on first
     access of `Symbol.density`.
     """
     if isinstance(params, BrownianParams):
@@ -441,8 +460,10 @@ def make_symbol(params) -> Symbol:
         return measures.density_symbol(measures.gh_expansion_density(
             params.C1, params.C2, params.C3, params.damping))
     elif isinstance(params, PowerLawParams):
-        from . import measures
-        return measures.density_symbol(measures.power_law_density(params.coef, params.Y), b=0.0)
+        if params.coef <= 0 or not 0.0 < params.Y < 2.0:
+            raise InvalidParams("power law requires coef > 0 and Y in (0, 2)")
+        sym = Symbol(1, "powerlaw", params, _power_law_fn(params.coef, params.Y),
+                     build_density=_density_builder("power_law_density", params.coef, params.Y))
     elif isinstance(params, TabulatedParams):
         try:
             with warnings.catch_warnings():

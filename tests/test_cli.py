@@ -416,8 +416,8 @@ def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypat
         return dataclasses.replace(sym, fn=fn), rec
 
     monkeypatch.setattr(cli, "build_symbol", counting_build)
-    cfg = {"task": "index", "process.family": "powerlaw", "process.coef": 1.0,
-           "process.Y": 1.3, "grid.r_max": 1e4, "grid.points_per_decade": 8}
+    cfg = {"task": "index", "process.family": "gh", "process.C1": 0.5, "process.C2": 0.1,
+           "process.C3": 0.05, "grid.r_max": 1e4, "grid.points_per_decade": 8}
     assert cli.run(cfg, str(tmp_path)) == 0
     assert sum(points) == len(cli._grid_spec(cfg).radii()) == 17
     rows = [ln for ln in (tmp_path / "index.csv").read_text().splitlines()

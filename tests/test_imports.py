@@ -62,7 +62,7 @@ CGMY = {"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0,
 @pytest.mark.parametrize("task", ["density", "evolve", "index", "inequalities", "price",
                                   "symbol-eval"])
 def test_cgmy_closed_form_task_loads_neither(tmp_path, task):
-    # index: beta and gamma integrate the CGMY density by Gauss-Legendre rules
+    # index: beta and gamma integrate the CGMY density by Gauss-Kronrod rules
     assert run_task(tmp_path, task, CGMY) == []
 
 

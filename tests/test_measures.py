@@ -48,8 +48,7 @@ def test_split_symmetric_density_has_zero_antisymmetric_part():
 def test_split_direct_algebra():
     base = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.2
     f = lambda x: base(np.asarray(x, dtype=float)) * (1.0 + 0.5 * np.sign(x))
-    d = M.LevyDensity(f=f, y_hint=0.2, c_hint=1.0,
-                      cutoff=700.0, name="skewed")
+    d = M.LevyDensity(f=f, cutoff=700.0, name="skewed")
     sp = M.split_symmetric(d)
     xs = np.array([0.3, 1.1, -0.4])
     assert np.allclose(sp.f_as(xs), 0.5 * np.sign(xs) * base(xs), rtol=1e-12)
@@ -107,7 +106,7 @@ def test_density_failing_on_arrays_raises_invalid_params():
 
 def test_density_checks_its_parts_when_built():
     f = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.5
-    kw = dict(f=f, y_hint=0.5, c_hint=1.0, cutoff=50.0, levy_condition_proven=True)
+    kw = dict(f=f, cutoff=50.0, levy_condition_proven=True)
     with pytest.raises(InvalidParams, match="f_s failed the symmetry check"):
         M.LevyDensity(**kw, f_s_exact=lambda x: f(x) * (1.0 + 0.1 * np.sign(x)))
     with pytest.raises(InvalidParams, match="antisymmetric part exceeds symmetric part"):
@@ -127,7 +126,7 @@ def _user_density():
         ax = np.abs(x)
         with np.errstate(divide="ignore"):
             return np.where(ax > 0, (1.0 + 0.5 * np.tanh(x)) * np.exp(-ax) / ax ** 1.5, 0.0)
-    return M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0, cutoff=700.0, name="user")
+    return M.LevyDensity(f=f, cutoff=700.0, name="user")
 
 
 EVERY_DENSITY = {
@@ -201,8 +200,7 @@ def test_antisymmetric_integrability_is_probed_once(monkeypatch):
     assert calls[0] == 1
     # a divergent first moment is refused on every call, and nothing is cached
     f = lambda x: (1.0 + 0.9 * np.sign(x)) * np.exp(-np.abs(x)) / np.abs(x) ** 2.2
-    skew = M.LevyDensity(f=f, y_hint=1.2, c_hint=1.0,
-                         cutoff=700.0, name="skew-heavy")
+    skew = M.LevyDensity(f=f, cutoff=700.0, name="skew-heavy")
     calls[0] = 0
     for u in (2.0, 2.0, 7.0):
         with pytest.raises(DivergentIntegral):
@@ -217,7 +215,7 @@ def test_tabulated_density_loglog_interp():
     probe = np.array([0.003, -0.3, 1.7])
     assert np.allclose(d.f(probe), 1.0 / np.abs(probe) ** 2.2 * np.exp(-np.abs(probe)),
                        rtol=0.05)
-    assert d.y_hint == pytest.approx(1.2, abs=0.1)
+    assert M.gamma_index(d) == pytest.approx(1.2, abs=0.1)
 
 
 def test_tabulated_branches_extrapolate_edge_power_laws():
@@ -374,8 +372,7 @@ X2_TABLE_A_FS = {0.3: 0.15701941865298347, 1.7: 4.781113665779951, 10.0: 106.582
 
 def _head_sum():
     cg, ng = M.cgmy_density(1.0, 2.0, 4.0, 1.5), M.nig_density(10.0, 2.0, 1.0)
-    return M.LevyDensity(f=lambda x: cg.f(x) + ng.f(x), y_hint=1.5, c_hint=1.0,
-                         cutoff=cg.cutoff, name="cgmy+nig",
+    return M.LevyDensity(f=lambda x: cg.f(x) + ng.f(x), cutoff=cg.cutoff, name="cgmy+nig",
                          f_s_exact=lambda x: cg.f_s(x) + ng.f_s(x),
                          f_as_exact=lambda x: cg.f_as(x) + ng.f_as(x),
                          levy_condition_proven=True)
@@ -409,41 +406,21 @@ def _skew_table(sign=1.0):
 
 def _gh_differenced():
     gh = M.gh_expansion_density(0.5, 0.1, 0.05, 1.0)
-    return M.LevyDensity(f=gh.f, y_hint=gh.y_hint, c_hint=gh.c_hint, cutoff=gh.cutoff,
-                         name="gh-differenced")
+    return M.LevyDensity(f=gh.f, cutoff=gh.cutoff, name="gh-differenced")
 
 
 def _hintless_cgmy(C, G, M_, Y):
-    # the CGMY density with its exact parts but no declared head: it reads one
+    # the CGMY density with its exact parts but not its Levy-condition proof
     c = M.cgmy_density(C, G, M_, Y)
     return M.LevyDensity(f=c.f, cutoff=c.cutoff, name="cgmy-hintless",
                          f_s_exact=c.f_s_exact, f_as_exact=c.f_as_exact)
 
 
-def test_read_head_is_the_law_below_the_knots():
-    # a table's head is the law it extrapolates below its smallest node, the
-    # same for a table and its reflection; a hint-less CGMY reads its own
-    d, r = _skew_table(), _skew_table(-1.0)
-    assert (d.y_hint, d.c_hint) == (r.y_hint, r.c_hint)
-    assert d.y_hint == pytest.approx(0.7, abs=1e-6)
-    h = _hintless_cgmy(1.0, 2.0, 4.0, 1.5)
-    assert h.y_hint == pytest.approx(1.5, abs=1e-9)
-    assert h.c_hint == pytest.approx(1.0, rel=1e-7)
-    # bounded at 0: no head; a declared head is kept, and survives a copy
-    gauss = M.LevyDensity(f=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-                          cutoff=10.0, name="gauss")
-    assert (gauss.y_hint, gauss.c_hint) == (0.0, 0.0)
-    copy = dataclasses.replace(d, knots=())
-    assert (copy.y_hint, copy.c_hint) == (d.y_hint, d.c_hint)
-    with pytest.raises(InvalidParams, match=r"both y_hint, in \[0, 2\), and c_hint"):
-        M.LevyDensity(f=gauss.f, y_hint=0.5, cutoff=10.0)
-
-
 @pytest.mark.parametrize("args", [(1.0, 2.0, 4.0, 1.9), (1.0, 5.0, 5.0, 1.9)],
                          ids=["skew", "symmetric"])
 def test_hintless_cgmy_parts_match_closed_form(args):
-    # the head read off f_s is not used by the quadrature: the graded rule
-    # in x = s^10 takes the x^{-1-Y} singularity of f_s from the origin
+    # the graded rule in x = s^10 takes the x^{-1-Y} singularity of f_s
+    # from the origin
     d, sym = _hintless_cgmy(*args), S.make_symbol(S.CGMYParams(*args))
     for u in (1.0, 10.0, 100.0, 1e4):
         a_fs, a_fas = M.symbol_parts_from_density(d, u)
@@ -451,11 +428,11 @@ def test_hintless_cgmy_parts_match_closed_form(args):
 
 
 def test_headless_cgmy_integrates_to_the_origin():
-    # declared without a head, CGMY(1, 2, 4, 1.9) leaves the whole
-    # (1 - cos ux) f_s ~ x^-0.9 to the graded panels in s of x = s^10: their
-    # geometric remainder below x = 1e-100 carries about 1e-10 of the part
+    # CGMY(1, 2, 4, 1.9) leaves the whole (1 - cos ux) f_s ~ x^-0.9 to the
+    # graded panels in s of x = s^10: their geometric remainder below
+    # x = 1e-100 carries about 1e-10 of the part
     c = M.cgmy_density(1.0, 2.0, 4.0, 1.9)
-    d = M.LevyDensity(f=c.f, y_hint=0.0, c_hint=0.0, cutoff=c.cutoff, name="cgmy-headless",
+    d = M.LevyDensity(f=c.f, cutoff=c.cutoff, name="cgmy-headless",
                       f_s_exact=c.f_s_exact, f_as_exact=c.f_as_exact)
     sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.9))
     for u in (1.0, 10.0, 100.0, 1e4):
@@ -566,8 +543,7 @@ def test_nonfinite_part_raises_quadrature_failure():
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) < 1.0, 0.5 * np.sign(x) * f(x), np.nan)
 
-    d = M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0,
-                      cutoff=50.0, name="nan-tail", f_as_exact=f_as)
+    d = M.LevyDensity(f=f, cutoff=50.0, name="nan-tail", f_as_exact=f_as)
     sp = M.split_symmetric(d)
     with pytest.raises(QuadratureFailure, match="non-finite"):
         M.symbol_parts_from_density(sp, 3.0)
@@ -598,8 +574,7 @@ def test_refined_call_validates_against_a_deeper_run(monkeypatch):
     # kinks, no longer misses the budget), and the eps/4, refine = 4 run
     # shows the value is good
     table = _table()
-    sp = M.split_symmetric(M.LevyDensity(f=table.f, y_hint=table.y_hint,
-                                         c_hint=table.c_hint, cutoff=table.cutoff,
+    sp = M.split_symmetric(M.LevyDensity(f=table.f, cutoff=table.cutoff,
                                          name="table-without-knots"))
     once, runs = M._symbol_parts_once, []
 
@@ -693,8 +668,7 @@ def test_a_fas_purely_imaginary():
 def test_divergent_antisymmetric_first_moment():
     # |x f_as| ~ |x|^{-1.2} near 0: the Lemma precondition fails
     f = lambda x: (1.0 + 0.9 * np.sign(x)) * np.exp(-np.abs(x)) / np.abs(x) ** 2.2
-    d = M.LevyDensity(f=f, y_hint=1.2, c_hint=1.0,
-                      cutoff=700.0, name="skew-heavy")
+    d = M.LevyDensity(f=f, cutoff=700.0, name="skew-heavy")
     sp = M.split_symmetric(d)
     with pytest.raises(DivergentIntegral):
         M.symbol_parts_from_density(sp, 2.0)
@@ -717,7 +691,7 @@ def test_symmetric_heavy_tails_still_evaluate():
     from scipy.special import beta, gamma, kv
     # f_as = 0, so no first moment is needed however heavy the tail
     a_fs, a_fas = M.symbol_parts_from_density(M.power_law_density(1.0, 0.5), 3.0)
-    assert a_fs == pytest.approx(2.0 * 3.0 ** 0.5 * M._head_total(0.5), rel=1e-10)
+    assert a_fs == pytest.approx(2.0 * 3.0 ** 0.5 * S._head_total(0.5), rel=1e-10)
     assert a_fas == 0.0
     # f = (1+x^2)^{-3/4} keeps f_s(r) r^2 > 1e-20 past the r_eff cap 2^30;
     # the mass beyond it (about 1.2e-4) is part of A_fs
@@ -752,7 +726,7 @@ def test_antisymmetric_part_away_from_the_origin():
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.exp(-ax) * ax ** -1.5 * (1.0 + 0.5 * np.sign(x) * (ax > 1.0))
         return np.where(ax > 0, out, 0.0)
-    d = M.LevyDensity(f=f, y_hint=0.5, c_hint=1.0, cutoff=60.0, name="outer-skew")
+    d = M.LevyDensity(f=f, cutoff=60.0, name="outer-skew")
     for u in (1.0, 5.0):
         ref = quad(lambda x: (np.sin(u * x) - u * x) * np.exp(-x) * x ** -1.5, 1.0, 60.0,
                    epsabs=1e-15, limit=200)[0]
@@ -787,7 +761,7 @@ def test_head_total_is_the_scipy_gamma_formula_bitwise():
     from scipy.special import gamma
     for Y in np.random.default_rng(5).uniform(1e-6, 2.0 - 1e-6, 2000).tolist():
         want = float(gamma(2.0 - Y) / (Y * (1.0 - Y)) * math.cos(math.pi * Y / 2.0))
-        assert M._head_total(Y) == want
+        assert S._head_total(Y) == want
 
 
 def test_density_symbol_route():
@@ -911,6 +885,37 @@ def test_gamma_index_cauchy_type():
     assert M.gamma_index(M.power_law_density(1.0, 1.0)) == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("Y", [0.1, 1.0, 1.99])
+def test_gamma_index_of_a_power_law_is_its_exponent(Y):
+    # G(r) = 2 r^{2-Y}/(2-Y) exactly: the graded panels from the origin leave
+    # the log-log slope at 2 - Y to roundoff
+    assert abs(M.gamma_index(M.power_law_density(1.0, Y)) - Y) <= 1e-12
+
+
+def test_gamma_index_needs_no_family_form():
+    # CGMY(1, 2, 4, 1.9) given by f alone differences f for f_s; its gamma
+    # is the family density's
+    c = M.cgmy_density(1.0, 2.0, 4.0, 1.9)
+    d = M.LevyDensity(f=c.f, cutoff=c.cutoff, name="cgmy f-only")
+    assert M.gamma_index(d) == pytest.approx(M.gamma_index(c), rel=1e-12, abs=0.0)
+
+
+def test_gamma_index_of_a_reflected_table():
+    # f_s of a table and of its reflection x -> -x are the same function
+    assert M.gamma_index(_skew_table()) == M.gamma_index(_skew_table(-1.0))
+
+
+@pytest.mark.parametrize("Y", [0.3, 1.0, 1.7, 1.95])
+def test_power_law_parts_by_quadrature_match_the_closed_form(Y):
+    # the density takes the general route out to the r_eff cap 2^30 and the
+    # mass beyond; at Y = 1.95 its tail map reaches x ~ 1e109 without a warning
+    d, sym = M.power_law_density(1.0, Y), S.make_symbol(S.PowerLawParams(Y=Y))
+    assert sym.eval_mode == "closed-form"
+    for u in (0.1, -1.0, 100.0, -1e4, 1e6):
+        a_fs, a_fas = M.symbol_parts_from_density(d, u)
+        assert abs(a_fs + a_fas - sym(u)) <= 0.05 * 1e-9 * (1.0 + u * u), u
+
+
 @pytest.mark.parametrize("Y", [0.3, 0.8, 1.2, 1.6])
 def test_beta_ge_gamma(Y):
     d = M.cgmy_density(1.0, 5.0, 5.0, Y)
@@ -952,9 +957,10 @@ def test_appendix_bounds_asymmetric_fv(bound_grid):
 def test_appendix_bounds_power_law_finite_variation(bound_grid):
     # Y < 1: int_{[-1,1]} |x| f dx = 2 coef/(1 - Y) is finite, so part d applies
     d = M.power_law_density(1.0, 0.5)
-    assert d.y_hint < 1.0
     rep = M.verify_appendix_bounds(d, 0.5, bound_grid)
     assert rep.parts["d"].applicable and rep.parts["d"].passed
+    # the verdict follows the Y it is given
+    assert not M.verify_appendix_bounds(d, 1.5, bound_grid).parts["d"].applicable
 
 
 def test_appendix_bounds_vg_fails_b(bound_grid):

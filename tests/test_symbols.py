@@ -390,10 +390,11 @@ def test_gh_record_builds_the_gh_density_symbol():
     (S.CGMYParams(1.0, 2.0, 4.0, 1.5), lambda: M.cgmy_density(1.0, 2.0, 4.0, 1.5)),
     (S.CGMYParams(0.7, 5.0, 3.0, 0.0), lambda: M.cgmy_density(0.7, 5.0, 3.0, 0.0)),
     (S.NIGParams(alpha=10.0, beta=3.0, delta=0.8), lambda: M.nig_density(10.0, 3.0, 0.8)),
+    (S.PowerLawParams(Y=1.3, coef=2.0), lambda: M.power_law_density(2.0, 1.3)),
 ])
 def test_catalog_density_is_built_on_first_access(params, reference, monkeypatch):
     builds = []
-    for name in ("cgmy_density", "nig_density"):
+    for name in ("cgmy_density", "nig_density", "power_law_density"):
         monkeypatch.setattr(M, name, lambda *a, _f=getattr(M, name): builds.append(a) or _f(*a))
     monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad called"))
     sym = S.make_symbol(params)
@@ -402,10 +403,9 @@ def test_catalog_density_is_built_on_first_access(params, reference, monkeypatch
     assert len(builds) == 1 and sym.density is dens
     ref = reference()
     x = np.concatenate([-np.geomspace(1e-8, 50.0, 97), [0.0], np.geomspace(1e-8, 50.0, 97)])
-    for part in ("f", "f_s_exact", "f_as_exact"):
+    for part in ("f", "f_s", "f_as"):
         np.testing.assert_array_equal(getattr(dens, part)(x), getattr(ref, part)(x))
-    assert (dens.y_hint, dens.c_hint, dens.cutoff, dens.name) == \
-        (ref.y_hint, ref.c_hint, ref.cutoff, ref.name)
+    assert (dens.cutoff, dens.name) == (ref.cutoff, ref.name)
 
 
 def test_symbols_without_a_density():
