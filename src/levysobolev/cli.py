@@ -191,6 +191,25 @@ def _freq_grid(cfg: dict) -> spectral.FrequencyGrid:
         raise ConfigError(f"freq.{str(exc).split()[0]}: {exc}") from exc
 
 
+def _hermite(n: int, x: np.ndarray) -> np.ndarray:
+    """The physicists' Hermite polynomial H_n(x) = 2^{n/2} He_n(sqrt(2) x).
+
+    He_n by the backward three-term recurrence scipy.special.eval_hermite
+    runs, step for step, so finite x give its values bit for bit.
+    """
+    t = math.sqrt(2.0) * np.asarray(x, dtype=float)
+    if n == 0:
+        he = np.ones_like(t)
+    elif n == 1:
+        he = t
+    else:
+        y3, y2 = 0.0, 1.0
+        for k in range(n, 1, -1):
+            y3, y2 = y2, t * y2 - k * y3
+        he = t * y2 - y3
+    return he * 2.0 ** (n / 2)
+
+
 def _payoff_hat(cfg: dict, grid: spectral.FrequencyGrid) -> spectral.SpectralField:
     kind = _cfg(cfg, "payoff.kind").lower()
     w = _in_range("payoff.width", _cfg(cfg, "payoff.width"), 0.0)
@@ -200,9 +219,8 @@ def _payoff_hat(cfg: dict, grid: spectral.FrequencyGrid) -> spectral.SpectralFie
         # g(x) = exp(-(x-c)^2/(2 w^2)):  g_hat(xi) = w sqrt(2 pi) e^{i xi c - w^2 xi^2/2}
         fn = lambda xi: w * np.sqrt(2 * np.pi) * np.exp(1j * xi * c - 0.5 * (w * xi) ** 2)
     elif kind == "hermite":
-        from scipy.special import eval_hermite
         # h_n(x) = H_n(x) e^{-x^2/2} transforms to sqrt(2 pi) i^n h_n(xi)
-        fn = lambda xi: np.sqrt(2 * np.pi) * (1j ** n) * eval_hermite(n, xi) * np.exp(-xi**2 / 2)
+        fn = lambda xi: np.sqrt(2 * np.pi) * (1j ** n) * _hermite(n, xi) * np.exp(-xi**2 / 2)
     else:
         raise ConfigError(f"unknown payoff kind {kind!r}")
     return spectral.SpectralField.from_function(grid, fn)

@@ -29,8 +29,9 @@ The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
 h(x) = x, over the large jumps; local exponents judge that precondition and
 DivergentIntegral is raised when it fails.  With an infinite cutoff, the mass
 of f_s and the first moment of f_as beyond the outer limit r_eff are added
-when r_eff stops at its cap.  No QUADPACK call is made; scipy is imported
-only for a Bessel evaluation (`kve`) or an explicit `quad` call.
+when r_eff stops at its cap.  No QUADPACK call is made, and scipy is
+imported only by an explicit `quad` call: the NIG density's Bessel function
+is `k1e`, Cephes' K_1(z) e^z in numpy.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ def quad(*args, **kwargs):
     """
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
-
-
-def kve(v, z):
-    """scipy.special.kve, imported on each call (only the NIG density needs it)."""
-    from scipy.special import kve as scipy_kve
-    return scipy_kve(v, z)
 
 
 # --------------------------------------------------------------------------
@@ -208,19 +203,86 @@ def cgmy_density(C: float, G: float, M: float, Y: float) -> LevyDensity:
                        f_s_exact=f_s, f_as_exact=f_as, levy_condition_proven=True)
 
 
+# Cephes k1.c (Moshier, Methods and Programs for Mathematical Functions,
+# 1989): Chebyshev coefficients in z^2 - 2 of z K_1(z) - z log(z/2) I_1(z)
+# on [0, 2], and in 8/z - 2 of K_1(z) e^z sqrt(z) on (2, inf)
+_K1_A = (-7.02386347938628759343e-18, -2.42744985051936593393e-15,
+         -6.66690169419932900609e-13, -1.41148839263352776110e-10,
+         -2.21338763073472585583e-8, -2.43340614156596823496e-6,
+         -1.73028895751305206302e-4, -6.97572385963986435018e-3,
+         -1.22611180822657148235e-1, -3.53155960776544875667e-1,
+         1.52530022733894777053e0)
+_K1_B = (-5.75674448366501715755e-18, 1.79405087314755922667e-17,
+         -5.68946255844285935196e-17, 1.83809354436663880070e-16,
+         -6.05704724837331885336e-16, 2.03870316562433424052e-15,
+         -7.01983709041831346144e-15, 2.47715442448130437068e-14,
+         -8.97670518232499435011e-14, 3.34841966607842919884e-13,
+         -1.28917396095102890680e-12, 5.13963967348173025100e-12,
+         -2.12996783842756842877e-11, 9.21831518760500529508e-11,
+         -4.19035475934189648750e-10, 2.01504975519703286596e-9,
+         -1.03457624656780970260e-8, 5.74108412545004946722e-8,
+         -3.50196060308781257119e-7, 2.40648494783721712015e-6,
+         -1.93619797416608296024e-5, 1.95215518471351631108e-4,
+         -2.85781685962277938680e-3, 1.03923736576817238437e-1,
+         2.72062619048444266945e0)
+# 1/(k! (k+1)!) for k = 19 ... 0: I_1(z) = (z/2) sum_k (z^2/4)^k/(k! (k+1)!),
+# whose 20 terms reach roundoff on [0, 2]
+_I1_SERIES = tuple(1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(19, -1, -1))
+
+
+def _chbevl(x, coef):
+    """Cephes chbevl: the Chebyshev series in x/2 with `coef` highest order first."""
+    b0, b1, b2 = coef[0], 0.0, 0.0
+    for c in coef[1:]:
+        b2, b1 = b1, b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def k1e(z):
+    """K_1(z) e^z, the exponentially scaled modified Bessel function of order 1.
+
+    Cephes' k1e in numpy, with its steps in its order: bit for bit as
+    scipy.special.k1e for z > 2, and within a few ulp for z <= 2, where I_1
+    is its power series instead of Cephes' Chebyshev fit.  As with
+    scipy.special.kve(1, z), k1e(0) is inf and a negative or NaN z gives
+    NaN; k1e(inf) is 0, as scipy.special.k1e gives.  A 0-d z gives a numpy
+    scalar.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape)
+    near = z <= 2.0
+    zn, zf = z[near], z[~near]
+    out[~near] = _chbevl(8.0 / zf - 2.0, _K1_B) / np.sqrt(zf)
+    q = 0.25 * zn * zn
+    i1 = _I1_SERIES[0]
+    for c in _I1_SERIES[1:]:
+        i1 = i1 * q + c
+    half = 0.5 * zn
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kn = (np.log(half) * (half * i1) + _chbevl(zn * zn - 2.0, _K1_A) / zn) * np.exp(zn)
+    # where z/2 underflows to 0, log(z/2) I_1(z) is -inf * 0; K_1(z) ~ 1/z is inf
+    out[near] = np.where(half == 0.0, np.inf, kn)
+    return out[()]
+
+
 def nig_density(alpha: float, beta: float = 0.0, delta: float = 1.0) -> LevyDensity:
-    """f(x) = (delta*alpha/pi) e^{beta x} K_1(alpha |x|)/|x|; head (delta/pi)/x^2."""
+    """f(x) = (delta*alpha/pi) e^{beta x} K_1(alpha |x|)/|x|; head (delta/pi)/x^2.
+
+    K_1 is evaluated through `k1e`, so building and integrating the density
+    imports nothing from scipy.
+    """
     if alpha <= 0 or delta <= 0 or abs(beta) >= alpha:
         raise InvalidParams("NIG density requires alpha > 0, delta > 0, |beta| < alpha")
 
     coef = delta * alpha / np.pi
 
     def f(x):
-        # e^{beta x} K_1(alpha|x|) = kve(1, alpha|x|) e^{beta x - alpha|x|}
+        # e^{beta x} K_1(alpha|x|) = k1e(alpha|x|) e^{beta x - alpha|x|}
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = coef * kve(1.0, alpha * ax) * np.exp(beta * x - alpha * ax) / ax
+            out = coef * k1e(alpha * ax) * np.exp(beta * x - alpha * ax) / ax
         return np.where(ax > 0, np.nan_to_num(out, posinf=0.0), 0.0)
 
     def kernel(ax, odd):
@@ -231,7 +293,7 @@ def nig_density(alpha: float, beta: float = 0.0, delta: float = 1.0) -> LevyDens
         lead = 0.5 * np.exp(np.abs(z) - alpha * ax)
         hyp = np.where(small, np.exp(-alpha * ax) * (np.sinh(zs) if odd else np.cosh(zs)),
                        lead * (np.sign(z) if odd else 1.0))
-        return np.nan_to_num(coef * kve(1.0, alpha * ax) * hyp / ax, posinf=0.0)
+        return np.nan_to_num(coef * k1e(alpha * ax) * hyp / ax, posinf=0.0)
 
     f_s = _off_origin(lambda ax: kernel(ax, False))
     f_as = _off_origin(lambda ax: kernel(ax, True), odd=True)

@@ -280,6 +280,14 @@ def test_price_task_gaussian(tmp_path):
     assert doc["result"]["value"][1] == pytest.approx(np.exp(-0.25) / np.sqrt(2), abs=1e-8)
 
 
+def test_hermite_is_scipy_eval_hermite():
+    # the payoff's H_n runs scipy's recurrence step for step: equal bits
+    from scipy.special import eval_hermite
+    x = np.linspace(-64.0, 64.0, 4096)
+    for n in range(13):
+        assert np.array_equal(cli._hermite(n, x), eval_hermite(n, x)), n
+
+
 def test_price_task_hermite_payoff_at_tau_zero(tmp_path, capsys):
     # at tau = 0 the price is the payoff h_n(x) = H_n(x) e^{-x^2/2} itself
     from scipy.special import eval_hermite

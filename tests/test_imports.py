@@ -1,7 +1,11 @@
-"""What `import levysobolev` and single CLI tasks load: scipy.integrate and
-scipy.special are imported on first use, even by `measures`, so each check
-runs in a fresh interpreter (pytest itself imports scipy.integrate for its
-warning filter)."""
+"""What `import levysobolev` and single CLI tasks load.
+
+No task on the CGMY, NIG and Cauchy laws of the cli-batch benchmark, and no
+price with the Hermite payoff, loads scipy.integrate or scipy.special.  Both
+are imported only on first use: scipy.integrate by an explicit
+`measures.quad` call, scipy.special by a Student-t symbol and by the tail
+certificate of `smoothness_moments`.  So each check runs in a fresh
+interpreter (pytest itself imports scipy.integrate for its warning filter)."""
 
 import json
 import subprocess
@@ -26,7 +30,7 @@ def test_import_loads_neither_integrate_nor_special():
 
 
 def test_measures_names_still_import_from_the_package():
-    # measures itself loads neither: its quad and kve import scipy on the call
+    # measures itself loads neither: its quad imports scipy.integrate on the call
     code = ("from levysobolev import LevyDensity, bg_index, measures\n"
             "assert LevyDensity is measures.LevyDensity and bg_index is measures.bg_index")
     assert loaded_after(code) == []
@@ -47,11 +51,18 @@ def run_task(tmp_path, task: str, cfg: dict) -> list:
     return loaded_after(f"from levysobolev import cli\nassert cli.main({argv!r}) == 0")
 
 
-@pytest.mark.parametrize("cfg", [
-    {"process.family": "cauchy", "process.c": 1.0},
-    {"process.family": "nig", "process.alpha": 10.0, "process.beta": 2.0},
-])
+CAUCHY = {"process.family": "cauchy", "process.c": 1.0}
+NIG = {"process.family": "nig", "process.alpha": 10.0, "process.beta": 2.0}
+
+
+@pytest.mark.parametrize("cfg", [CAUCHY, NIG])
 def test_price_loads_neither(tmp_path, cfg):
+    assert run_task(tmp_path, "price", cfg) == []
+
+
+def test_hermite_price_loads_neither(tmp_path):
+    # H_n by its recurrence in numpy, not scipy.special.eval_hermite
+    cfg = {**CAUCHY, "payoff.kind": "hermite", "payoff.order": 3}
     assert run_task(tmp_path, "price", cfg) == []
 
 
@@ -59,17 +70,27 @@ CGMY = {"process.family": "cgmy", "process.C": 1.0, "process.G": 5.0,
         "process.M": 5.0, "process.Y": 1.5}
 
 
-@pytest.mark.parametrize("task", ["density", "evolve", "index", "inequalities", "price",
-                                  "symbol-eval"])
+@pytest.mark.parametrize("task", ["catalog", "density", "evolve", "index", "inequalities",
+                                  "price", "symbol-eval"])
 def test_cgmy_closed_form_task_loads_neither(tmp_path, task):
     # index: beta and gamma integrate the CGMY density by Gauss-Kronrod rules
     assert run_task(tmp_path, task, CGMY) == []
 
 
-def test_nig_index_loads_special_only(tmp_path):
-    # the NIG density needs kve; its jump indices make no QUADPACK call
-    cfg = {"process.family": "nig", "process.alpha": 10.0, "process.beta": 2.0}
-    assert run_task(tmp_path, "index", cfg) == ["scipy.special"]
+def test_nig_index_loads_neither(tmp_path):
+    # beta and gamma integrate the NIG density by the numpy rules, its K_1 is
+    # measures.k1e
+    assert run_task(tmp_path, "index", NIG) == []
+
+
+# the other tasks of the cli-batch mix; price and NIG's index are gated above
+@pytest.mark.parametrize("task, cfg", [
+    pytest.param(task, cfg, id=f"{cfg['process.family']}-{task}")
+    for cfg in (NIG, CAUCHY)
+    for task in ("catalog", "density", "evolve", "index", "inequalities", "symbol-eval")
+    if (task, cfg) != ("index", NIG)])
+def test_cli_batch_task_loads_neither(tmp_path, task, cfg):
+    assert run_task(tmp_path, task, cfg) == []
 
 
 @pytest.mark.parametrize("family", ["gh", "tabulated"])
