@@ -846,7 +846,7 @@ def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
     else:
         _check_as_integrable(density)
         m1, e_m1 = _first_moment_as(density, eps)
-        err_acc += abs(e_m1) + _beyond_r_eff(density, moment=True)[2] / au
+        err_acc += au * abs(e_m1) + _beyond_r_eff(density, moment=True)[2] / au
         s, e2 = _integrate(density, density.f_as, u, "sin", eps, limit, tol)
         err_acc += 2.0 * e2
         a_fas = 1j * (2.0 * s - u * m1)

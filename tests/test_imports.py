@@ -1,5 +1,8 @@
 """What `import levysobolev` and single CLI tasks load.
 
+`import levysobolev` loads no numpy, so that `levysobolev.cli` can default
+OpenBLAS to one thread before numpy starts its pool.
+
 No task on the CGMY, NIG and Cauchy laws of the cli-batch benchmark, and no
 price with the Hermite payoff, loads scipy.integrate or scipy.special.  Both
 are imported only on first use: scipy.integrate by an explicit
@@ -8,6 +11,7 @@ certificate of `smoothness_moments`.  So each check runs in a fresh
 interpreter (pytest itself imports scipy.integrate for its warning filter)."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -17,12 +21,17 @@ import pytest
 HEAVY = ("scipy.integrate", "scipy.special")
 
 
-def loaded_after(code: str) -> list:
-    """The HEAVY modules in sys.modules after running `code` in a new interpreter."""
-    probe = f"{code}\nimport sys\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+def run_fresh(code: str, env=None) -> str:
+    """The standard output of `code` run in a new interpreter."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    return res.stdout.split()
+    return res.stdout
+
+
+def loaded_after(code: str, modules=HEAVY) -> list:
+    """The `modules` in sys.modules after running `code` in a new interpreter."""
+    return run_fresh(f"{code}\nimport sys\nprint(*[m for m in {modules!r} if m in sys.modules])"
+                     ).split()
 
 
 def test_import_loads_neither_integrate_nor_special():
@@ -36,12 +45,29 @@ def test_measures_names_still_import_from_the_package():
     assert loaded_after(code) == []
 
 
-def test_every_lazy_name_is_a_measures_name():
-    import levysobolev
-    from levysobolev import measures
-    for name in levysobolev._MEASURES_NAMES:
-        assert getattr(levysobolev, name) is getattr(measures, name)
-    assert levysobolev._MEASURES_NAMES <= set(dir(levysobolev))
+def test_import_loads_no_numpy():
+    # so that the CLI module can set up the environment before numpy loads
+    assert loaded_after("import levysobolev", ("numpy",)) == []
+
+
+def test_every_lazy_name_resolves_in_its_module():
+    run_fresh("import importlib, levysobolev\n"
+              "for name, module in levysobolev._LAZY.items():\n"
+              "    mod = importlib.import_module(f'levysobolev.{module}')\n"
+              "    assert getattr(levysobolev, name) is getattr(mod, name), name\n"
+              "assert set(levysobolev._LAZY) <= set(dir(levysobolev))\n"
+              "assert set(levysobolev.__all__) <= set(dir(levysobolev))")
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")])
+def test_cli_import_pins_one_blas_thread_unless_set(given, seen):
+    # the environment is built here: once this process imports
+    # levysobolev.cli, its own children inherit OPENBLAS_NUM_THREADS=1
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = run_fresh("import os, levysobolev.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])", env)
+    assert out.strip() == seen
 
 
 def run_task(tmp_path, task: str, cfg: dict) -> list:

@@ -615,6 +615,21 @@ def test_refined_call_validates_against_a_deeper_run(monkeypatch):
     assert abs(a1 - a2) + abs(b1 - b2) <= 1e-8
 
 
+def test_first_moment_error_counts_times_u():
+    # A_fas = i (2 s - u m1): an error e of m1 is an error |u| e of A_fas.
+    # With e between budget/|u| and budget, and the eps/2 run's m1 off by e,
+    # the call must refuse rather than count e alone and return
+    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 1.5))
+    u = 100.0
+    budget = 1e-9 * (1.0 + u * u)
+    m1, _ = M._first_moment_as(sp, M.EPS_INNER)
+    e = 0.5 * budget
+    sp._cache[("m1", M.EPS_INNER)] = (m1, e)
+    sp._cache[("m1", M.EPS_INNER / 2.0)] = (m1 + e, e)
+    with pytest.raises(QuadratureFailure, match="exceeds budget"):
+        M.symbol_parts_from_density(sp, u)
+
+
 def test_tabulated_route_has_no_failure_band():
     # the kinks at the table nodes used to defeat the error estimate for
     # u in about [0.69, 1.76]; scaled tables are the benchmark's inputs

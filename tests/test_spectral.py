@@ -177,6 +177,26 @@ def test_form_cgmy(form_grid, cgmy15):
     assert rep.passed and rep.garding_c2 > 0
 
 
+def test_form_continuity_constant_is_exact(grid, cgmy15):
+    # the grid supremum of |A|/(1+|xi|)^alpha, not the largest trial ratio
+    # (0.2417 on this law), and every seeded trial stays under it
+    rep = SP.verify_form_inequalities(cgmy15, 1.5, 500, grid, seed=0)
+    assert rep.passed
+    assert rep.continuity_c == SP.operator_norm_constant(cgmy15, grid, 1.5)
+    assert rep.continuity_c == pytest.approx(2.9760, abs=1e-4)
+    rng, radii = np.random.default_rng(0), grid.radii()
+    wts = (1.0 + radii) ** 1.5
+    a_vals = cgmy15(grid.axis())
+    ratios = []
+    for _ in range(500):
+        u = SP._random_band_field(grid, radii, rng).values
+        v = SP._random_band_field(grid, radii, rng).values
+        ratios.append(abs(np.sum(a_vals * u * np.conj(v)))
+                      / np.sqrt(np.sum(np.abs(u) ** 2 * wts) * np.sum(np.abs(v) ** 2 * wts)))
+    assert max(ratios) == pytest.approx(0.2417, abs=1e-4)
+    assert max(ratios) <= rep.continuity_c
+
+
 def test_form_vg_fails(form_grid, vg_sym):
     for alpha in (0.2, 0.6, 1.0, 1.5, 2.0):
         rep = SP.verify_form_inequalities(vg_sym, alpha, 20, form_grid, seed=0)
