@@ -9,7 +9,9 @@ antisymmetric part f_as = f - f_s:
 
 The integrands are singular at 0 like |x|^{-1-Y}.  The graded rule in s of
 x = s^10 below integrates them from the origin, singularity included, with
-1 - cos(ux) taken as 2 sin(ux/2)^2.
+1 - cos(ux) taken as 2 sin(ux/2)^2 and sin(ux) - ux whole: its O(u^3 x^3)
+cancels the rounding noise of an f_as differenced from f.  A call whose
+error estimate misses the budget 1e-9 (1 + u^2) raises QuadratureFailure.
 
 Each part is one globally adaptive run over [0, r_eff] (`_integrate`): every
 round evaluates f_s or f_as once, at the nodes of all new panels, and bisects
@@ -20,10 +22,10 @@ geometric remainder below them, elsewhere on geometric thirds of decade
 panels.  Beyond the cutoff a Filon-Clenshaw-Curtis rule interpolates w on 25
 Chebyshev points and takes sin(ux) or 1 - cos(ux) exactly through modified
 Chebyshev moments (Piessens and Branders), its error the distance to the
-13-point result.  Panels split at eps = 1e-4, the edge of the graded rule,
-and at the density's `knots` (the nodes of a tabulated density, where it
-has a kink).  The u-independent first moment of f_as and the tails beyond
-r_eff use the same rules and are cached on the density.
+13-point result.  Panels split at EPS_INNER = 1e-4, the edge of the graded
+rule, and at the density's `knots` (the nodes of a tabulated density, where
+it has a kink).  The u-independent first moments of f_as and the tails
+beyond r_eff use the same rules and are cached on the density.
 
 The antisymmetric part requires int |x f_as| dx < infinity, at 0 and, for
 h(x) = x, over the large jumps; local exponents judge that precondition and
@@ -50,7 +52,9 @@ from .fitting import linear_fit
 from .symbols import Symbol, symbol_from_callable
 
 EPS_INNER = 1e-4          # upper edge of the graded inner rule in x = s^10
-_QUAD_KW = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
+_LIMIT = 400              # bisections per adaptive run at most
+_TOL_ABS = 1e-13          # absolute and relative tolerances of the runs that
+_TOL_REL = 1e-11          # do not depend on u: moments, tails and gamma's G(r)
 _TREND_TOL = 0.05         # log-log slope tolerance of the Appendix bound verdicts
 
 
@@ -79,8 +83,9 @@ class LevyDensity:
     `f_s_exact`/`f_as_exact` optionally give cancellation-free forms of the
     symmetric/antisymmetric parts; without them `f_s`/`f_as` difference f,
     which loses the antisymmetric part below |x| ~ 1e-14 in double
-    precision.  The built-in families all provide them, and theirs return
-    a scalar for a float x.
+    precision.  The symbol parts stay within their budget either way: the
+    kernel sin(ux) - ux cancels that noise near 0.  The built-in families
+    all provide them, and theirs return a scalar for a float x.
 
     `levy_condition_proven` marks a family whose parameter checks prove
     int (x^2 ^ 1) f dx and int |x f_as| dx finite; `_divergent_end`'s rule for
@@ -92,7 +97,7 @@ class LevyDensity:
 
     The density carries its parts f = f_s + f_as, f_s even and f_as odd,
     checked at construction for symmetry and |f_as| <= f_s, and a cache of
-    the u-independent quadrature results, the first moment ("m1", eps) of
+    the u-independent quadrature results, the first moments ("m1", outer) of
     f_as and the f_s mass and f_as moment beyond r_eff, of whether f_as
     vanishes and of a passed f_as integrability check; a copy made by
     `dataclasses.replace` starts with an empty cache.  InvalidParams when f
@@ -508,11 +513,11 @@ def _rule(w, u: float = 0.0, kernel: str = "", xmap=None):
     kind 0 is Gauss-Kronrod 21 in x; kind 1 Gauss-Kronrod 21 in v, with
     (x, dx/dv) = xmap(v); kind 2 Filon-Clenshaw-Curtis in x, for the
     oscillatory kernels.  k is 1 - cos ("cos", as 2 sin(ux/2)^2 in the
-    Gauss-Kronrod panels), sin ("sin"), x ("x") or 1 ("").  The error is
-    QUADPACK's: |K - G| scaled as in qk21 for Gauss-Kronrod, the distance of
-    the degree-24 and degree-12 Filon results otherwise, both raised to a
-    roundoff floor of 50 ulp of int |integrand|.  w is called once per call
-    of the rule.
+    Gauss-Kronrod panels), sin ("sin", sin(ux) - ux in the kind 1 panels),
+    x ("x") or 1 ("").  The error is QUADPACK's: |K - G| scaled as in qk21
+    for Gauss-Kronrod, the distance of the degree-24 and degree-12 Filon
+    results otherwise, both raised to a roundoff floor of 50 ulp of
+    int |integrand|.  w is called once per call of the rule.
     """
     def rule(a, b, kind):
         gk = kind < 2
@@ -525,8 +530,10 @@ def _rule(w, u: float = 0.0, kernel: str = "", xmap=None):
         x = np.concatenate([xg.ravel(), xf.ravel()])
         vals = np.asarray(w(x), dtype=float)
         val, err, floor = (np.empty(len(a)) for _ in range(3))
-        val[gk], err[gk], floor[gk] = _gk21(_kernel(kernel, u, xg) * jac
-                                            * vals[:xg.size].reshape(xg.shape), hg)
+        k = _kernel(kernel, u, xg)
+        if kernel == "sin":
+            k[mapped] -= u * xg[mapped]
+        val[gk], err[gk], floor[gk] = _gk21(k * jac * vals[:xg.size].reshape(xg.shape), hg)
         if xf.size:
             val[~gk], err[~gk], floor[~gk] = _filon(vals[xg.size:].reshape(xf.shape), hf,
                                                     0.5 * (a[~gk] + b[~gk]), u, kernel)
@@ -682,41 +689,58 @@ def _inner_panels(hi: float, knots: tuple):
     return edges[:-1], edges[1:]
 
 
-def _integrate(density: LevyDensity, w, u: float, kernel: str, eps: float, limit: int,
-               epsabs: float, epsrel: float = 0.0):
-    """(int_0^r_eff k(ux) w(x) dx, its error) for the kernels of `_rule`.
+def _integrate(density: LevyDensity, w, u: float, kernel: str, tol: float):
+    """(int_0^r_eff k(ux) w(x) dx, its error) for the kernels "cos" and "sin"
+    of `_rule` and u != 0, to the absolute tolerance tol.
 
     Below b = min(30/|u|, r_eff) the full integrand goes through
-    Gauss-Kronrod: from 0 to min(b, eps) in s of x = s^10 on graded panels,
-    with the geometric remainder below them; from eps to b on decade panels.
-    Beyond b the kernel goes into the Filon-Clenshaw-Curtis moments, on
-    decade panels from b.  Every panel splits at eps and at the knots, each
-    decade into three geometric pieces; one adaptive run takes them all.
-    The kernels "" and "x" take u = 0: all of [eps, r_eff] is Gauss-Kronrod.
+    Gauss-Kronrod: from 0 to min(b, EPS_INNER) in s of x = s^10 on graded
+    panels, with the geometric remainder below them, where "sin" is
+    sin(ux) - ux; from EPS_INNER to b on decade panels.  Beyond b the kernel
+    goes into the Filon-Clenshaw-Curtis moments, on decade panels from b.
+    Every panel splits at EPS_INNER and at the knots, each decade into three
+    geometric pieces; one adaptive run takes them all.
     """
-    r, au = density.r_eff, abs(u)
-    b = min(r, 30.0 / au) if au > 0.0 else r
-    knots = tuple(sorted({*density.knots, eps}))
-    ia, ib = _inner_panels(min(b, eps), density.knots)
-    ga, gb = _geometric(_panels(eps, b, knots=knots)) if b > eps else (np.empty(0), np.empty(0))
-    fa, fb = _geometric(_panels(b, r, knots=knots)) if b < r else (np.empty(0), np.empty(0))
+    r = density.r_eff
+    b = min(r, 30.0 / abs(u))
+    knots = tuple(sorted({*density.knots, EPS_INNER}))
+    ia, ib = _inner_panels(min(b, EPS_INNER), density.knots)
+    ga, gb = _geometric(_panels(EPS_INNER, b, knots))
+    fa, fb = _geometric(_panels(b, r, knots))
     kind = np.repeat([1, 0, 2], [len(ia), len(ga), len(fa)])
     val, err = _adapt(_rule(w, u, kernel, _s10), np.concatenate([ia, ga, fa]),
-                      np.concatenate([ib, gb, fb]), kind, limit, epsabs, epsrel)
+                      np.concatenate([ib, gb, fb]), kind, _LIMIT, tol)
     rem, e_rem = _below_graded(val[:3])
     return val.sum() + rem, err.sum() + e_rem
 
 
-def _first_moment_as(density: LevyDensity, eps: float):
-    """(int x f_as dx, its error); (0.0, 0.0) without quadrature when f_as vanishes."""
+def _moment_as(density: LevyDensity, lo: float, hi: float):
+    """(2 int_lo^hi x f_as dx, its error): Gauss-Kronrod on decade panels or,
+    from lo = 0, on the graded panels in s of x = s^10 plus their remainder."""
+    graded = lo == 0.0
+    a, b = _inner_panels(hi, density.knots) if graded else _geometric(
+        _panels(lo, hi, density.knots))
+    val, err = _adapt(_rule(density.f_as, kernel="x", xmap=_s10), a, b,
+                      np.full(len(a), int(graded)), _LIMIT, _TOL_ABS, _TOL_REL)
+    rem, e_rem = _below_graded(val[:3]) if graded else (0.0, 0.0)
+    return 2.0 * (val.sum() + rem), 2.0 * (err.sum() + e_rem)
+
+
+def _first_moment_as(density: LevyDensity, *, outer: bool = False):
+    """(int x f_as dx, its error), with `outer` over |x| > EPS_INNER only (the
+    f_as moment beyond r_eff included), else that plus the graded run from
+    the origin; cached, and (0.0, 0.0) without quadrature when f_as vanishes."""
     if not _has_as(density):
         return 0.0, 0.0
-    key = ("m1", eps)
+    key = ("m1", outer)
     if key not in density._cache:
-        val, err = _integrate(density, density.f_as, 0.0, "x", eps, _QUAD_KW["limit"],
-                              _QUAD_KW["epsabs"], _QUAD_KW["epsrel"])
-        beyond, e3, _ = _beyond_r_eff(density, moment=True)
-        density._cache[key] = (2.0 * val + beyond, 2.0 * err + e3)
+        if outer:
+            val, err = _moment_as(density, EPS_INNER, density.r_eff)
+            rest, e_rest, _ = _beyond_r_eff(density, moment=True)
+        else:
+            val, err = _moment_as(density, 0.0, min(EPS_INNER, density.r_eff))
+            rest, e_rest = _first_moment_as(density, outer=True)
+        density._cache[key] = (val + rest, err + e_rest)
     return density._cache[key]
 
 
@@ -791,7 +815,7 @@ def _beyond_r_eff(density: LevyDensity, moment: bool):
                          xmap=lambda s: (r / s**10, 10.0 * r / s**11))
             edges = _graded(1.0, _S_MIN)
             val, err = _adapt(rule, edges[:-1], edges[1:], np.ones(len(edges) - 1, dtype=int),
-                              _QUAD_KW["limit"], _QUAD_KW["epsabs"], _QUAD_KW["epsrel"])
+                              _LIMIT, _TOL_ABS, _TOL_REL)
             rem, e_rem = _below_graded(val[:3])
             out = (2.0 * (val.sum() + rem), 2.0 * (err.sum() + e_rem),
                    4.0 * abs(float(part(np.array([r]))[0])))
@@ -802,22 +826,38 @@ def _beyond_r_eff(density: LevyDensity, moment: bool):
 def symbol_parts_from_density(density: LevyDensity, u: float):
     """(A_fs(u), A_fas(u)) for truncation h(x) = x.
 
-    A_fs(u) >= 0 real; A_fas(u) purely imaginary.  Combined absolute
-    tolerance 1e-9 (1 + u^2).  The rules' error estimates are conservative
-    on strongly singular or noisy integrands, so when they exceed the budget
-    the result is validated against a run at EPS_INNER/2 with half the
-    tolerance and twice the bisections and the observed difference taken as
-    the error; QuadratureFailure only when that too misses the budget.
+    A_fs(u) >= 0 real; A_fas(u) purely imaginary.  Each part is one adaptive
+    run to 1/64 of the budget 1e-9 (1 + u^2), and QuadratureFailure is
+    raised when the summed error estimate misses the budget.  A_fas
+    integrates (sin ux - ux) f_as on the graded panels at the origin, where
+    the factor O(u^3 x^3) cancels the rounding noise of an f_as differenced
+    from f, and subtracts u times the first moment of f_as beyond them: the
+    cached moment over |x| > EPS_INNER and, for |u| > 3e5, a run over
+    [30/|u|, EPS_INNER].
     """
     u = float(u)
     if u == 0.0:
         return 0.0, 0.0j
-    budget = 1e-9 * (1.0 + u * u)
-    a_fs, a_fas, err_acc = _symbol_parts_once(density, u, EPS_INNER, 1)
-    if err_acc > budget:
-        b_fs, b_fas, _ = _symbol_parts_once(density, u, EPS_INNER / 2.0, 2)
-        err_acc = abs(a_fs - b_fs) + abs(a_fas - b_fas)
-        a_fs, a_fas = b_fs, b_fas
+    au, budget = abs(u), 1e-9 * (1.0 + u * u)
+    tol = budget / 64.0
+    half, e1 = _integrate(density, density.f_s, u, "cos", tol)
+    beyond, e3, env = _beyond_r_eff(density, moment=False)
+    err_acc = 2.0 * e1 + e3 + env / au
+    a_fs = 2.0 * half + beyond
+
+    # ---- antisymmetric part
+    if not _has_as(density):
+        a_fas = 0.0j
+    else:
+        _check_as_integrable(density)
+        m1, e_m1 = _first_moment_as(density, outer=True)
+        if 30.0 / au < EPS_INNER:
+            short, e_short = _moment_as(density, 30.0 / au, min(EPS_INNER, density.r_eff))
+            m1, e_m1 = m1 + short, e_m1 + e_short
+        s, e2 = _integrate(density, density.f_as, u, "sin", tol)
+        err_acc += 2.0 * e2 + au * e_m1 + _beyond_r_eff(density, moment=True)[2] / au
+        a_fas = 1j * (2.0 * s - u * m1)
+
     if err_acc > budget:
         raise QuadratureFailure(
             f"{density.name}: error estimate {err_acc:.3g} exceeds "
@@ -828,51 +868,24 @@ def symbol_parts_from_density(density: LevyDensity, u: float):
     return float(max(a_fs, 0.0) if a_fs > -budget else a_fs), a_fas
 
 
-def _symbol_parts_once(density: LevyDensity, u: float, eps: float, refine: int):
-    au = abs(u)
-    # each part's integral to 1/64 of the budget; refine tightens it and
-    # allows more bisections
-    tol = 1e-9 * (1.0 + u * u) / (64.0 * refine)
-    limit = _QUAD_KW["limit"] * refine
-
-    half, e1 = _integrate(density, density.f_s, u, "cos", eps, limit, tol)
-    beyond, e3, env = _beyond_r_eff(density, moment=False)
-    err_acc = 2.0 * e1 + e3 + env / au
-    a_fs = 2.0 * half + beyond
-
-    # ---- antisymmetric part
-    if not _has_as(density):
-        a_fas = 0.0j
-    else:
-        _check_as_integrable(density)
-        m1, e_m1 = _first_moment_as(density, eps)
-        err_acc += au * abs(e_m1) + _beyond_r_eff(density, moment=True)[2] / au
-        s, e2 = _integrate(density, density.f_as, u, "sin", eps, limit, tol)
-        err_acc += 2.0 * e2
-        a_fas = 1j * (2.0 * s - u * m1)
-
-    return a_fs, a_fas, err_acc
-
-
 def density_symbol(density: LevyDensity, b: float | None = None) -> Symbol:
     """Quadrature-backed symbol for triplet (b, 0, f dx) w.r.t. h(x) = x.
 
     b = None selects the compensated drift b = int x F(dx) (requires the
     antisymmetric first moment to exist), in which case
-    A(u) = A_fs(u) + i int sin(ux) f_as(x) dx.
+    A(u) = A_fs(u) + i int sin(ux) f_as(x) dx; QuadratureFailure when |u|
+    times the moment's error estimate exceeds the budget 1e-9 (1 + u^2).
     """
 
     def fn(pts):
         out = np.empty(len(pts), dtype=complex)
         for i, u in enumerate(pts[:, 0]):
             a_fs, a_fas = symbol_parts_from_density(density, float(u))
-            val = a_fs + a_fas
-            if b is None:
-                m1, _ = _first_moment_as(density, EPS_INNER)
-                val += 1j * u * m1
-            else:
-                val += 1j * u * b
-            out[i] = val
+            drift, e_m1 = _first_moment_as(density) if b is None else (b, 0.0)
+            if abs(u) * e_m1 > 1e-9 * (1.0 + u * u):
+                raise QuadratureFailure(
+                    f"{density.name}: first moment error {e_m1:.3g} at u = {u:g}")
+            out[i] = a_fs + a_fas + 1j * u * drift
         return out
 
     return symbol_from_callable(fn, d=1, family=f"from_density[{density.name}]",
@@ -975,8 +988,7 @@ def gamma_index(density: LevyDensity) -> float:
     bins = np.concatenate([np.zeros(len(ia), dtype=int), i + 1])
     val, _ = _adapt(_rule(lambda x: x * x * density.f_s(x), xmap=_s10),
                     np.concatenate([ia, ga]), np.concatenate([ib, gb]),
-                    np.repeat([1, 0], [len(ia), len(ga)]), _QUAD_KW["limit"], 0.0,
-                    _QUAD_KW["epsrel"])
+                    np.repeat([1, 0], [len(ia), len(ga)]), _LIMIT, 0.0, _TOL_REL)
     incs = 2.0 * np.bincount(bins, weights=val)
     incs[0] += 2.0 * _below_graded(val[:3])[0]
     vals = np.cumsum(incs)
@@ -1087,7 +1099,7 @@ def verify_appendix_bounds(density: LevyDensity, Y: float, grid) -> BoundReport:
 
     # d) finite-variation drift bound
     if Y < 1.0:
-        m1, _ = _first_moment_as(density, EPS_INNER)
+        m1, _ = _first_moment_as(density)
         mag_d = np.abs(a_fas.imag + us * m1)  # = |int sin(ux) f_as dx|
         if np.all(mag_d < 1e-250):
             parts["d"] = BoundEntry(True, True, {"C": 0.0}, "no antisymmetric part")

@@ -207,19 +207,6 @@ class Symbol:
             ratios.append(np.abs(vals) / (1.0 + r) ** 2)
         return float(1.01 * np.max(ratios))
 
-    def __add__(self, other: "Symbol") -> "Symbol":
-        if not isinstance(other, Symbol) or other.d != self.d:
-            return NotImplemented
-        f1, f2 = self.fn, other.fn
-        return Symbol(
-            d=self.d,
-            family=f"sum({self.family},{other.family})",
-            params=None,
-            fn=lambda pts: f1(pts) + f2(pts),
-            eval_mode="quadrature" if "quadrature" in (self.eval_mode, other.eval_mode)
-            else "closed-form",
-        )
-
 
 def symbol_from_callable(fn, d: int = 1, family: str = "custom",
                          eval_mode: str = "closed-form", **kw) -> Symbol:

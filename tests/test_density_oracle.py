@@ -3,8 +3,9 @@
 A seeded, stratified draw of CGMY and NIG laws: 12 of each, 4 `u` per law.
 The quadrature parts of each family density must match the closed-form
 symbol within the route's budget 1e-9 (1 + u^2), each part on its own. The
-same density given by `f` alone (no declared head, both parts differenced
-from f) must match the family density's parts within the same budget.
+same density given by `f` alone (both parts differenced from f) must match
+the family density's parts within the same budget, also where 30/|u| falls
+below the graded panels' edge EPS_INNER.
 """
 
 import numpy as np
@@ -61,22 +62,27 @@ def test_family_density_matches_closed_form(case):
         assert abs(a_fas.imag - closed.imag) <= _budget(u), u
 
 
-# f-only skewed CGMY from about Y = 1.5 on: f_as = (f(x) - f(-x))/2 carries
-# rounding noise that the sine integral on [0, EPS_INNER] cannot resolve
-# (ROADMAP item 12)
-F_ONLY_NOISE = "f-only skewed density near Y >= 1.5: differenced f_as noise (ROADMAP item 12)"
-F_ONLY_XFAIL = {"cgmy(C=8.26,G=7.72,M=3.31,Y=1.648)", "cgmy(C=2.92,G=3.63,M=0.84,Y=1.696)",
-                "cgmy(C=1.62,G=11.1,M=11,Y=1.940)"}
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=F_ONLY_NOISE))
-    if c[0] in F_ONLY_XFAIL else c for c in CASES], ids=IDS)
-def test_f_only_density_matches_its_family(case):
-    label, family, _, _, _, us = case
+def _assert_f_only_matches(label, family, us):
     density = M.LevyDensity(f=family.f, cutoff=family.cutoff, name=f"f-only {label}")
     for u in us:
         a_fs, a_fas = M.symbol_parts_from_density(density, float(u))
         r_fs, r_fas = M.symbol_parts_from_density(family, float(u))
         assert abs(a_fs - r_fs) <= _budget(u), u
         assert abs(a_fas - r_fas) <= _budget(u), u
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_f_only_density_matches_its_family(case):
+    label, family, _, _, _, us = case
+    _assert_f_only_matches(label, family, us)
+
+
+# the skewed CGMY laws from Y = 1.5 on, whose differenced f_as is noisiest
+# near 0; from |u| = 3e5 on the graded panels end at 30/|u| < EPS_INNER
+LARGE_U_CASES = [c for c in CASES if c[0].startswith("cgmy") and c[4] >= 1.5]
+
+
+@pytest.mark.parametrize("case", LARGE_U_CASES, ids=[c[0] for c in LARGE_U_CASES])
+def test_f_only_density_matches_its_family_at_large_u(case):
+    label, family, _, _, _, _ = case
+    _assert_f_only_matches(label, family, (4e5, -1e6, 3e7))

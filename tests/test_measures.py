@@ -93,8 +93,9 @@ def test_levy_condition_proven_by_family_parameters(monkeypatch):
 def test_vanishing_first_moment_runs_no_quadrature(monkeypatch):
     monkeypatch.setattr(M, "quad", lambda *a, **k: pytest.fail("quad ran"))
     for d in (M.power_law_density(1.0, 0.5), M.cgmy_density(1.0, 3.0, 3.0, 0.5), _table()):
-        m1, err = M._first_moment_as(d, M.EPS_INNER)
-        assert (m1.hex(), err.hex()) == ((0.0).hex(), (0.0).hex())
+        for outer in (False, True):
+            m1, err = M._first_moment_as(d, outer=outer)
+            assert (m1.hex(), err.hex()) == ((0.0).hex(), (0.0).hex())
 
 
 def test_density_failing_on_arrays_raises_invalid_params():
@@ -322,7 +323,7 @@ def test_closed_form_vs_quadrature_cgmy(Y):
     # zero-drift symbol A_fs + A_fas from Y = 1 on
     sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, Y))
     sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, Y))
-    m1 = M._first_moment_as(sp, M.EPS_INNER)[0]
+    m1 = M._first_moment_as(sp)[0]
     for u in np.geomspace(0.5, 100.0, 9):
         a_fs, a_fas = M.symbol_parts_from_density(sp, float(u))
         if Y < 1.0:
@@ -375,15 +376,22 @@ def _counted(density):
     return d, count
 
 
+def _f_only(density):
+    # the density given by f alone: both parts differenced from f
+    return M.LevyDensity(f=density.f, cutoff=density.cutoff, name=f"f-only {density.name}")
+
+
 @pytest.mark.parametrize("density, work", [
-    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), {"f_s": [12, 5852], "f_as": [12, 6709]}),
-    (M.nig_density(10.0, 2.0, 1.0), {"f_s": [10, 5368], "f_as": [9, 6191]}),
-    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), {"f_s": [11, 5985], "f_as": [11, 6827]}),
-], ids=["cgmy", "nig", "gh"])
+    (M.cgmy_density(1.0, 2.0, 4.0, 1.5), {"f_s": [12, 5852], "f_as": [13, 6436]}),
+    (M.nig_density(10.0, 2.0, 1.0), {"f_s": [10, 5368], "f_as": [12, 6002]}),
+    (M.gh_expansion_density(0.5, 0.1, 0.05, 1.0), {"f_s": [11, 5985], "f_as": [12, 6554]}),
+    (_f_only(M.cgmy_density(1.0, 2.0, 4.0, 1.5)), {"f_s": [12, 5852], "f_as": [15, 6484]}),
+], ids=["cgmy", "nig", "gh", "cgmy-f-only"])
 def test_symbol_parts_integrand_work(density, work):
     # deterministic work gate: array calls of each part and the points they
     # take, over a fixed u sequence on a fresh density (first moment and
-    # f_as probes included)
+    # f_as probes included); the f-only row runs the compensated kernel on
+    # a differenced f_as
     d, count = _counted(density)
     for u in WORK_U:
         M.symbol_parts_from_density(d, u)
@@ -584,48 +592,15 @@ def test_nig_quadrature_matches_closed_form(nig_skew):
         assert abs(a_quad - closed) <= 1e-6 * abs(closed)
 
 
-def test_quadrature_refinement_stable():
-    sp = M.split_symmetric(M.cgmy_density(1.0, 5.0, 5.0, 1.5))
-    for u in (3.0, 300.0):
-        a1, _ = M.symbol_parts_from_density(sp, u)
-        a2 = M._symbol_parts_once(sp, u, M.EPS_INNER / 2, 2)[0]
-        assert abs(a1 - a2) <= 1e-8 * abs(a1)
-
-
-def test_refined_call_validates_against_a_deeper_run(monkeypatch):
-    # an error estimate over the budget sends the call to a run at eps/2,
-    # refine = 2, and their difference is taken as the error; the estimate is
-    # inflated here (the table without its knots, whose panels straddle its
-    # kinks, no longer misses the budget), and the eps/4, refine = 4 run
-    # shows the value is good
-    table = _table()
-    sp = M.split_symmetric(M.LevyDensity(f=table.f, cutoff=table.cutoff,
-                                         name="table-without-knots"))
-    once, runs = M._symbol_parts_once, []
-
-    def inflated(density, u, eps, refine):
-        runs.append((eps, refine))
-        a_fs, a_fas, err = once(density, u, eps, refine)
-        return a_fs, a_fas, 1.0 if refine == 1 else err
-
-    monkeypatch.setattr(M, "_symbol_parts_once", inflated)
-    a1, b1 = M.symbol_parts_from_density(sp, 3.0)
-    a2, b2, _ = once(sp, 3.0, M.EPS_INNER / 4, 4)
-    assert runs == [(M.EPS_INNER, 1), (M.EPS_INNER / 2, 2)]
-    assert abs(a1 - a2) + abs(b1 - b2) <= 1e-8
-
-
 def test_first_moment_error_counts_times_u():
-    # A_fas = i (2 s - u m1): an error e of m1 is an error |u| e of A_fas.
-    # With e between budget/|u| and budget, and the eps/2 run's m1 off by e,
-    # the call must refuse rather than count e alone and return
+    # A_fas = i (2 s - u m1): an error e of the cached moment over
+    # |x| > EPS_INNER is an error |u| e of A_fas.  With e = budget/2, the call
+    # must refuse rather than count e alone and return
     sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 1.5))
     u = 100.0
     budget = 1e-9 * (1.0 + u * u)
-    m1, _ = M._first_moment_as(sp, M.EPS_INNER)
-    e = 0.5 * budget
-    sp._cache[("m1", M.EPS_INNER)] = (m1, e)
-    sp._cache[("m1", M.EPS_INNER / 2.0)] = (m1 + e, e)
+    m1, _ = M._first_moment_as(sp, outer=True)
+    sp._cache[("m1", True)] = (m1, 0.5 * budget)
     with pytest.raises(QuadratureFailure, match="exceeds budget"):
         M.symbol_parts_from_density(sp, u)
 
@@ -662,7 +637,7 @@ def test_dense_table_has_more_knots_than_the_subinterval_limit():
     x = np.geomspace(1e-9, 20.0, 1000)
     xs = np.concatenate([-x[::-1], x])
     d = M.tabulated_density(xs, np.exp(-2 * np.abs(xs)) / np.abs(xs) ** 2.2)
-    assert len(M._knots_in(d.knots, 0.0, M.EPS_INNER)) > M._QUAD_KW["limit"]
+    assert len(M._knots_in(d.knots, 0.0, M.EPS_INNER)) > M._LIMIT
     a_fs, a_fas = M.symbol_parts_from_density(M.split_symmetric(d), 3.0)
     closed = S.make_symbol(S.CGMYParams(1.0, 2.0, 2.0, 1.2))(3.0)
     assert a_fs + a_fas == pytest.approx(closed, rel=1e-4)
@@ -755,7 +730,7 @@ def test_slowly_converging_large_jump_moment():
     assert abs(a_fs - 0.776497775053063) <= 2e-9
     assert a_fas.real == 0.0
     assert abs(a_fas.imag + 1.156716478807495) <= 2e-9
-    assert M._first_moment_as(d, M.EPS_INNER)[0] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert M._first_moment_as(d)[0] == pytest.approx(np.pi / 2, abs=1e-12)
 
 
 def test_antisymmetric_part_away_from_the_origin():
@@ -811,6 +786,19 @@ def test_density_symbol_route():
         assert abs(sym(u) - closed(u)) <= 1e-6 * abs(closed(u))
     assert sym.eval_mode == "quadrature"
     assert sym.density is not None
+
+
+def test_compensated_drift_counts_its_moment_error():
+    # b = None adds i u m1 back; for an f-only law m1 carries the noise of
+    # the differenced f_as near 0, and |u| times its error estimate is
+    # counted against the budget even though the parts meet it
+    d = _f_only(M.cgmy_density(1.62, 11.1, 11.0, 1.94))
+    M.symbol_parts_from_density(d, 3.0)
+    assert 3.0 * M._first_moment_as(d)[1] > 1e-9 * (1.0 + 3.0 ** 2)
+    with pytest.raises(QuadratureFailure, match="first moment error"):
+        M.density_symbol(d)(3.0)
+    # a given drift needs no moment
+    assert np.isfinite(M.density_symbol(d, b=0.0)(3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -312,12 +312,6 @@ def test_nig_multivariate_hermitian(rng):
     assert np.all(vals.real >= -1e-10 * (1.0 + np.sum(pts**2, axis=1)))
 
 
-def test_sum_of_symbols(brownian, nig_sym):
-    total = brownian + nig_sym
-    assert total(2.0) == pytest.approx(brownian(2.0) + nig_sym(2.0), rel=1e-14)
-    assert total.family == "sum(brownian,nig)"
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
