@@ -417,11 +417,9 @@ def _task_density(cfg):
     t = _in_range("density.t", _cfg(cfg, "density.t"), 0.0)
     xs = _x_points(cfg, "density")
     vals = spectral.density(sym, t, xs, fg)
-    mass = spectral.density_mass(sym, t, fg)
-    _stage(f"density at {len(xs)} points, window mass={mass:.6f}")
+    _stage(f"density at {len(xs)} points")
     x, value = xs.tolist(), vals.tolist()
-    return ({"family": rec, "t": t, "mass": float(mass), "x": x, "value": value},
-            ["x", "value"], [x, value])
+    return {"family": rec, "t": t, "x": x, "value": value}, ["x", "value"], [x, value]
 
 
 def _task_catalog(cfg):

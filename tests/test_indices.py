@@ -359,6 +359,19 @@ def test_moments_cgmy_match_bruteforce():
         assert mom[n] == pytest.approx(brute, rel=1e-6)
 
 
+def test_upper_gamma_bound_is_at_least_scipys_value():
+    from scipy.special import gamma, gammaincc
+
+    eps = np.finfo(float).eps
+    for a in np.linspace(0.05, 60.0, 160):
+        for x in np.geomspace(1e-3, 700.0, 100):
+            ref = gamma(a) * gammaincc(a, x)
+            # rounding of x^(a-1) e^-x, taken as exp((a-1) log x - x)
+            tol = 4 * eps * (1.0 + x + abs((a - 1.0) * np.log(x)))
+            assert I._upper_gamma_bound(a, x) >= ref * (1.0 - tol)
+    assert I._upper_gamma_bound(200.0, 1.0) == np.inf   # Gamma(200) overflows
+
+
 def test_moments_need_garding_fit(vg_sym):
     with pytest.raises(TailUnbounded):
         # VG decays like a power, not exponentially: certificate impossible

@@ -31,28 +31,25 @@ def _table(scale=1.0):
 
 def test_cgmy_split_closed_form():
     d = M.cgmy_density(1.0, 2.0, 4.0, 0.5)
-    sp = M.split_symmetric(d)
     xs = np.array([-0.7, -0.1, 0.1, 0.7, 2.0])
     expect_s = 0.5 * (np.exp(-2.0 * np.abs(xs)) + np.exp(-4.0 * np.abs(xs))) \
         / np.abs(xs) ** 1.5
-    assert np.allclose(sp.f_s(xs), expect_s, rtol=1e-12)
+    assert np.allclose(d.f_s(xs), expect_s, rtol=1e-12)
 
 
 def test_split_symmetric_density_has_zero_antisymmetric_part():
     d = M.cgmy_density(1.0, 5.0, 5.0, 0.5)
-    sp = M.split_symmetric(d)
     xs = np.geomspace(1e-6, 10.0, 50)
-    assert np.abs(sp.f_as(xs)).max() == 0.0
+    assert np.abs(d.f_as(xs)).max() == 0.0
 
 
 def test_split_direct_algebra():
     base = lambda x: np.exp(-np.abs(x)) / np.abs(x) ** 1.2
     f = lambda x: base(np.asarray(x, dtype=float)) * (1.0 + 0.5 * np.sign(x))
     d = M.LevyDensity(f=f, cutoff=700.0, name="skewed")
-    sp = M.split_symmetric(d)
     xs = np.array([0.3, 1.1, -0.4])
-    assert np.allclose(sp.f_as(xs), 0.5 * np.sign(xs) * base(xs), rtol=1e-12)
-    assert np.allclose(sp.f_s(xs), base(xs), rtol=1e-12)
+    assert np.allclose(d.f_as(xs), 0.5 * np.sign(xs) * base(xs), rtol=1e-12)
+    assert np.allclose(d.f_s(xs), base(xs), rtol=1e-12)
 
 
 def test_antisymmetric_cannot_exceed_symmetric():
@@ -262,7 +259,6 @@ def test_tabulated_branches_extrapolate_edge_power_laws():
     xp, xn = np.geomspace(1e-7, 20.0, 60), np.geomspace(3e-7, 15.0, 45)
     fp, fn = np.exp(-2 * xp) / xp ** 2.2, 0.4 * np.exp(-3 * xn) / xn ** 1.9
     d = M.tabulated_density(np.concatenate([-xn, xp]), np.concatenate([fn, fp]))
-    sp = M.split_symmetric(d)
     assert d.knots == tuple(np.unique(np.concatenate([xn, xp])))
 
     def branch(nodes, vals, q):
@@ -286,9 +282,9 @@ def test_tabulated_branches_extrapolate_edge_power_laws():
                       (outside, lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12))):
         x = np.concatenate([ax, -ax])
         check(d.f(x), old_f(x))
-        check(sp.f_s(x), 0.5 * (old_f(x) + old_f(-x)))
-        check(sp.f_as(x), 0.5 * (old_f(x) - old_f(-x)))
-    assert d.f(0.0) == sp.f_s(0.0) == sp.f_as(0.0) == 0.0
+        check(d.f_s(x), 0.5 * (old_f(x) + old_f(-x)))
+        check(d.f_as(x), 0.5 * (old_f(x) - old_f(-x)))
+    assert d.f(0.0) == d.f_s(0.0) == d.f_as(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def test_tabulated_branches_extrapolate_edge_power_laws():
 
 
 def test_pure_power_law_gives_pi_u():
-    sp = M.split_symmetric(M.power_law_density(1.0, 1.0))
+    sp = M.power_law_density(1.0, 1.0)
     for u in (3.0, 0.5, 100.0, 1e4):
         a_fs, a_fas = M.symbol_parts_from_density(sp, u)
         assert a_fs == pytest.approx(np.pi * u, rel=1e-10)
@@ -305,13 +301,13 @@ def test_pure_power_law_gives_pi_u():
 
 
 def test_parts_at_zero():
-    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 0.5))
+    sp = M.cgmy_density(1.0, 2.0, 4.0, 0.5)
     assert M.symbol_parts_from_density(sp, 0.0) == (0.0, 0.0j)
 
 
 def test_cgmy_parts_match_closed_form_real():
     sym = S.make_symbol(S.CGMYParams(1.0, 5.0, 5.0, 0.5))
-    sp = M.split_symmetric(M.cgmy_density(1.0, 5.0, 5.0, 0.5))
+    sp = M.cgmy_density(1.0, 5.0, 5.0, 0.5)
     a_fs, _ = M.symbol_parts_from_density(sp, 10.0)
     assert a_fs == pytest.approx(sym(10.0).real, rel=1e-6)
 
@@ -322,7 +318,7 @@ def test_closed_form_vs_quadrature_cgmy(Y):
     # is the natural-drift symbol A_fs + i S(u) below Y = 1 and the
     # zero-drift symbol A_fs + A_fas from Y = 1 on
     sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, Y))
-    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, Y))
+    sp = M.cgmy_density(1.0, 2.0, 4.0, Y)
     m1 = M._first_moment_as(sp)[0]
     for u in np.geomspace(0.5, 100.0, 9):
         a_fs, a_fas = M.symbol_parts_from_density(sp, float(u))
@@ -338,7 +334,7 @@ def test_closed_form_vs_quadrature_cgmy(Y):
 def test_closed_form_vs_quadrature_cgmy_strong_skew(G, M_):
     # max(G, M)/min(G, M) > 2.9: f_as must stay finite out to the cutoff
     sym = S.make_symbol(S.CGMYParams(1.0, G, M_, 1.5))
-    sp = M.split_symmetric(M.cgmy_density(1.0, G, M_, 1.5))
+    sp = M.cgmy_density(1.0, G, M_, 1.5)
     for u in (-100.0, -7.0, 0.5, 3.0, 30.0, 100.0):
         a_fs, a_fas = M.symbol_parts_from_density(sp, u)
         closed = sym(u)
@@ -350,7 +346,7 @@ def test_closed_form_vs_quadrature_cgmy_sub_eps_ladder(u):
     # 30/|u| < eps/10: the graded rule ends below eps, and Filon panels
     # cover the rest of [0, eps]
     sym = S.make_symbol(S.CGMYParams(1.0, 2.0, 4.0, 1.5))
-    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 1.5))
+    sp = M.cgmy_density(1.0, 2.0, 4.0, 1.5)
     a_fs, a_fas = M.symbol_parts_from_density(sp, u)
     closed = sym(u)
     assert abs(a_fs + a_fas - closed) <= 1e-6 * abs(closed)
@@ -577,13 +573,12 @@ def test_nonfinite_part_raises_quadrature_failure():
         return np.where(np.abs(x) < 1.0, 0.5 * np.sign(x) * f(x), np.nan)
 
     d = M.LevyDensity(f=f, cutoff=50.0, name="nan-tail", f_as_exact=f_as)
-    sp = M.split_symmetric(d)
     with pytest.raises(QuadratureFailure, match="non-finite"):
-        M.symbol_parts_from_density(sp, 3.0)
+        M.symbol_parts_from_density(d, 3.0)
 
 
 def test_nig_quadrature_matches_closed_form(nig_skew):
-    sp = M.split_symmetric(M.nig_density(10.0, 3.0, 1.0))
+    sp = M.nig_density(10.0, 3.0, 1.0)
     b = 3.0 / np.sqrt(91.0)
     for u in np.geomspace(0.5, 100.0, 7):
         a_fs, a_fas = M.symbol_parts_from_density(sp, float(u))
@@ -596,7 +591,7 @@ def test_first_moment_error_counts_times_u():
     # A_fas = i (2 s - u m1): an error e of the cached moment over
     # |x| > EPS_INNER is an error |u| e of A_fas.  With e = budget/2, the call
     # must refuse rather than count e alone and return
-    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 1.5))
+    sp = M.cgmy_density(1.0, 2.0, 4.0, 1.5)
     u = 100.0
     budget = 1e-9 * (1.0 + u * u)
     m1, _ = M._first_moment_as(sp, outer=True)
@@ -608,12 +603,12 @@ def test_first_moment_error_counts_times_u():
 def test_tabulated_route_has_no_failure_band():
     # the kinks at the table nodes used to defeat the error estimate for
     # u in about [0.69, 1.76]; scaled tables are the benchmark's inputs
-    sp = M.split_symmetric(_table())
+    sp = _table()
     for u in np.geomspace(0.3, 30.0, 40):
         a_fs, _ = M.symbol_parts_from_density(sp, float(u))
         assert a_fs > 0.0
     for scale in (0.9, 1.1):
-        sp = M.split_symmetric(_table(scale))
+        sp = _table(scale)
         for u in (0.71, 2.7, 18.8):
             assert M.symbol_parts_from_density(sp, u)[0] > 0.0
 
@@ -623,9 +618,8 @@ def test_tabulated_route_raises_no_integration_warning():
     table = _table()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sp = M.split_symmetric(table)
         for u in (0.3, 1.0, 3.0, 30.0, 1e3, 1e4):
-            M.symbol_parts_from_density(sp, u)
+            M.symbol_parts_from_density(table, u)
         M.bg_index(table)
         M.gamma_index(table)
     assert [w for w in caught if issubclass(w.category, IntegrationWarning)] == []
@@ -638,7 +632,7 @@ def test_dense_table_has_more_knots_than_the_subinterval_limit():
     xs = np.concatenate([-x[::-1], x])
     d = M.tabulated_density(xs, np.exp(-2 * np.abs(xs)) / np.abs(xs) ** 2.2)
     assert len(M._knots_in(d.knots, 0.0, M.EPS_INNER)) > M._LIMIT
-    a_fs, a_fas = M.symbol_parts_from_density(M.split_symmetric(d), 3.0)
+    a_fs, a_fas = M.symbol_parts_from_density(d, 3.0)
     closed = S.make_symbol(S.CGMYParams(1.0, 2.0, 2.0, 1.2))(3.0)
     assert a_fs + a_fas == pytest.approx(closed, rel=1e-4)
     assert M.gamma_index(d) == pytest.approx(1.2, abs=0.05)
@@ -667,14 +661,13 @@ def test_panels_split_at_interior_knots():
 
 def test_a_fs_nonnegative():
     for dens in (M.cgmy_density(1.0, 2.0, 4.0, 1.2), M.power_law_density(0.5, 0.7)):
-        sp = M.split_symmetric(dens)
         for u in (0.1, 1.0, 47.0):
-            a_fs, _ = M.symbol_parts_from_density(sp, u)
+            a_fs, _ = M.symbol_parts_from_density(dens, u)
             assert a_fs >= 0.0
 
 
 def test_a_fas_purely_imaginary():
-    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 0.5))
+    sp = M.cgmy_density(1.0, 2.0, 4.0, 0.5)
     _, a_fas = M.symbol_parts_from_density(sp, 7.0)
     assert a_fas.real == 0.0
     assert a_fas.imag != 0.0
@@ -684,9 +677,8 @@ def test_divergent_antisymmetric_first_moment():
     # |x f_as| ~ |x|^{-1.2} near 0: the Lemma precondition fails
     f = lambda x: (1.0 + 0.9 * np.sign(x)) * np.exp(-np.abs(x)) / np.abs(x) ** 2.2
     d = M.LevyDensity(f=f, cutoff=700.0, name="skew-heavy")
-    sp = M.split_symmetric(d)
     with pytest.raises(DivergentIntegral):
-        M.symbol_parts_from_density(sp, 2.0)
+        M.symbol_parts_from_density(d, 2.0)
 
 
 def _heavy_skew_tail():
@@ -849,14 +841,13 @@ def test_bg_index_makes_no_quad_call(monkeypatch):
 def test_dyadic_samples_integrate_each_interval(density, alpha):
     # the shared Gauss-Legendre samples against quad on [1/16, 1] and each
     # dyadic [c/2, c], c = 2^-4 ... 2^-33, split at the knots
-    sp = M.split_symmetric(density)
-    x, w, idx = M._dyadic_samples(sp)
-    got = np.bincount(idx, weights=x**alpha * w * sp.f_s(x))
+    x, w, idx = M._dyadic_samples(density)
+    got = np.bincount(idx, weights=x**alpha * w * density.f_s(x))
     edges = [(1.0 / 16.0, 1.0)] + [(2.0 ** -(j + 1), 2.0 ** -j) for j in range(4, 34)]
     assert len(got) == len(edges)
     for val, (a, b) in zip(got, edges):
-        ref = quad(lambda t: t**alpha * sp.f_s(t), a, b, epsabs=0.0, epsrel=1e-13,
-                   limit=200, points=M._knots_in(sp.knots, a, b) or None)[0]
+        ref = quad(lambda t: t**alpha * density.f_s(t), a, b, epsabs=0.0, epsrel=1e-13,
+                   limit=200, points=M._knots_in(density.knots, a, b) or None)[0]
         assert val == pytest.approx(ref, rel=1e-10)
 
 
@@ -961,14 +952,14 @@ def bound_grid():
 
 
 def test_appendix_bounds_cgmy(bound_grid):
-    sp = M.split_symmetric(M.cgmy_density(1.0, 5.0, 5.0, 1.5))
+    sp = M.cgmy_density(1.0, 5.0, 5.0, 1.5)
     rep = M.verify_appendix_bounds(sp, 1.5, bound_grid)
     assert rep.parts["a"].passed and rep.parts["b"].passed and rep.parts["c"].passed
     assert not rep.parts["d"].applicable  # infinite variation at Y = 1.5
 
 
 def test_appendix_bounds_power_law(bound_grid):
-    sp = M.split_symmetric(M.power_law_density(1.0, 1.0))
+    sp = M.power_law_density(1.0, 1.0)
     rep = M.verify_appendix_bounds(sp, 1.0, bound_grid)
     assert rep.parts["a"].passed and rep.parts["b"].passed
     # A_fs(u) = pi |u| exactly: fitted C1 just under pi
@@ -976,7 +967,7 @@ def test_appendix_bounds_power_law(bound_grid):
 
 
 def test_appendix_bounds_asymmetric_fv(bound_grid):
-    sp = M.split_symmetric(M.cgmy_density(1.0, 2.0, 4.0, 0.5))
+    sp = M.cgmy_density(1.0, 2.0, 4.0, 0.5)
     rep = M.verify_appendix_bounds(sp, 0.5, bound_grid)
     assert all(rep.parts[k].passed for k in "abcd")
     assert rep.parts["d"].applicable
@@ -992,13 +983,13 @@ def test_appendix_bounds_power_law_finite_variation(bound_grid):
 
 
 def test_appendix_bounds_vg_fails_b(bound_grid):
-    sp = M.split_symmetric(M.cgmy_density(1.0, 5.0, 5.0, 0.0))
+    sp = M.cgmy_density(1.0, 5.0, 5.0, 0.0)
     for Y in (0.3, 0.5, 1.0):
         rep = M.verify_appendix_bounds(sp, Y, bound_grid)
         assert not rep.parts["b"].passed
 
 
 def test_bound_report_record(bound_grid):
-    sp = M.split_symmetric(M.power_law_density(1.0, 1.0))
+    sp = M.power_law_density(1.0, 1.0)
     rec = M.verify_appendix_bounds(sp, 1.0, bound_grid).to_record()
     assert rec["part_a_passed"] and rec["Y"] == 1.0

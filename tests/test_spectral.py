@@ -334,6 +334,8 @@ def test_crank_nicolson_unstable_reported():
 def test_scheme_name_is_canonical():
     assert SP.scheme_name("Crank Nicolson") == "crank_nicolson"
     assert SP.scheme_name("implicitEuler") == "implicit_euler"
+    assert SP.scheme_name("implicit-euler") == SP.scheme_name("Implicit_Euler") == "implicit_euler"
+    assert SP.scheme_name("Crank-Nicolson") == "crank_nicolson"
     with pytest.raises(InvalidParams, match="unknown scheme 'leapfrog'"):
         SP.scheme_name("leapfrog")
 
@@ -343,6 +345,27 @@ def test_scheme_name_normalization(grid, gauss_field, brownian):
     assert t1.scheme == "crank_nicolson"
     with pytest.raises(InvalidParams):
         SP.evolve(brownian, gauss_field, None, 0.5, 2, "leapfrog")
+
+
+def test_trajectory_compares_grids_by_value():
+    fields = [SP.SpectralField(SP.FrequencyGrid(1, 8, 1.0), np.ones(8)) for _ in range(2)]
+    SP.Trajectory(np.array([0.0, 1.0]), fields, "exact")   # equal grids, two objects
+    other = SP.SpectralField(SP.FrequencyGrid(1, 8, 2.0), np.ones(8))
+    with pytest.raises(GridMismatch):
+        SP.Trajectory(np.array([0.0, 1.0]), [fields[0], other], "exact")
+
+
+def test_trajectory_needs_one_field_per_time():
+    f = SP.SpectralField(SP.FrequencyGrid(1, 8, 1.0), np.ones(8))
+    with pytest.raises(InvalidParams):
+        SP.Trajectory(np.array([0.0, 1.0, 2.0]), [f, f], "exact")
+
+
+def test_evolve_source_of_the_wrong_size(brownian):
+    g = SP.FrequencyGrid(1, 16, 4.0)
+    f0 = SP.SpectralField.from_function(g, lambda xi: np.exp(-xi**2))
+    with pytest.raises(GridMismatch):
+        SP.evolve(brownian, f0, lambda t: np.ones(15), 1.0, 2, "exact")
 
 
 # ---------------------------------------------------------------------------
